@@ -33,6 +33,7 @@ from .connections import (
     IMPLICIT,
     Connection,
     ConnectionReport,
+    ConnectionSearch,
     classify_connection,
     collect_connections,
     find_all_connections,
@@ -89,6 +90,7 @@ __all__ = [
     "Connection",
     "ConnectionGraph",
     "ConnectionReport",
+    "ConnectionSearch",
     "DdaeGraph",
     "DdaeStructError",
     "DdaeStructure",

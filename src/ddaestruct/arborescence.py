@@ -31,8 +31,10 @@ Three properties of the bookkeeping are load-bearing:
   count of acceptance criterion 8 (4.78M trees) about 14 times slower than
   the untraced one.
 
-Memory is proportional to the arc count, never to the number of trees:
-trees are handed to a visitor as immutable snapshots and forgotten.
+Memory is proportional to the arc count, never to the number of trees: a
+visitor sees each tree as the live array of its nodes' in-arc indices,
+and whatever it keeps it builds itself (`GrowRun.arborescence` turns the
+array into an `Arborescence`).
 
 Two independent oracles are provided for verification: exhaustive search
 over arc subsets, and the in-degree Laplacian minor determinant evaluated
@@ -161,6 +163,10 @@ class GrowRun:
     Splitting construction from execution lets callers (and tests) look at
     the working graph after a run: `working_arcs()` must equal the input
     arc set once `execute` returns, whatever the stop reason.
+
+    Nodes are indexed by their position in `node_ids` (sorted ids) and arcs
+    by their position in `arcs` (sorted pairs); callers key per-arc tables
+    by that arc index.
     """
 
     def __init__(self, g: Digraph, root):
@@ -172,7 +178,7 @@ class GrowRun:
         self._idx = {x: i for i, x in enumerate(self.node_ids)}
         self._n = len(self.node_ids)
         arc_list = sorted(g.arcs)
-        self._arc_list = arc_list
+        self.arcs: list[tuple] = arc_list
         self._tail = [self._idx[u] for u, _ in arc_list]
         self._head = [self._idx[v] for _, v in arc_list]
         self._out: list[list[int]] = [[] for _ in range(self._n)]
@@ -187,27 +193,31 @@ class GrowRun:
     def working_arcs(self) -> frozenset[tuple]:
         """Arc set of the working graph (all arcs once a run has unwound)."""
         return frozenset(
-            arc for a, arc in enumerate(self._arc_list) if self._alive[a]
+            arc for a, arc in enumerate(self.arcs) if self._alive[a]
         )
 
-    def _snapshot(self, parent: list[int], r: int) -> Arborescence:
-        ids = self.node_ids
-        tail = self._tail
-        arcs = frozenset(
-            (ids[tail[parent[x]]], ids[x]) for x in range(self._n) if x != r
-        )
-        return Arborescence(self.root, arcs)
+    def arborescence(self, parent: list[int]) -> Arborescence:
+        """The tree whose node x (by index) enters through arc parent[x].
+
+        parent is the array a visitor receives; the root's entry is -1.
+        """
+        arcs = self.arcs
+        return Arborescence(self.root, frozenset(arcs[a] for a in parent if a >= 0))
 
     def execute(
         self,
-        visitor: Callable[[Arborescence], None] | None = None,
+        visitor: Callable[[list[int]], None] | None = None,
         limit: int | None = None,
         deadline: float | None = None,
         bridge_hook: Callable | None = None,
     ) -> int:
         """Enumerate; returns the number of trees emitted.
 
-        visitor, if given, receives each spanning arborescence exactly once.
+        visitor, if given, is called once per spanning arborescence with
+        the live `parent` array: parent[x] is the index (into `arcs`) of
+        the in-arc of the node with index x, and -1 at the root.  The array
+        is reused and changes once the visitor returns, so a visitor that
+        keeps a tree copies it or calls `arborescence(parent)`.
         limit stops the run cleanly after that many trees; deadline (a
         time.monotonic() point) stops it when the clock passes; either way
         the working graph is fully restored.  `stopped` then names the
@@ -284,7 +294,7 @@ class GrowRun:
                     lo = 0
                     hi += 1
                 if visitor is not None:
-                    visitor(self._snapshot(parent, r))
+                    visitor(parent)
                 if lo == lim_lo and hi == lim_hi:
                     stop = "limit"
                 elif deadline is not None and time.monotonic() >= deadline:
@@ -365,7 +375,7 @@ class GrowRun:
                 if bridge:
                     if bridge_hook is not None:
                         bridge_hook(
-                            self._arc_list[e],
+                            self.arcs[e],
                             self._current_tree_arcs(in_tree, parent, r),
                             self.working_arcs(),
                         )
@@ -427,7 +437,12 @@ def enumerate_arborescences(
     Returns the number of trees found (or emitted before `limit` struck).
     The input graph is never modified.
     """
-    return GrowRun(g, root).execute(visitor=visitor, limit=limit)
+    run = GrowRun(g, root)
+    on_tree = None
+    if visitor is not None:
+        def on_tree(parent: list[int]) -> None:
+            visitor(run.arborescence(parent))
+    return run.execute(visitor=on_tree, limit=limit)
 
 
 def brute_force_arborescences(g: Digraph, root, cap: int = 8) -> set[Arborescence]:

@@ -21,9 +21,7 @@ import csv
 import time
 from dataclasses import dataclass
 
-from .arborescence import Digraph, GrowRun
-from .connection_graph import build_connection_graph
-from .connections import Connection, verify_connection
+from .connections import Connection, ConnectionSearch, verify_connection
 from .errors import BadSize, LimitExceeded
 from .graphs import ShiftingGraph, VariableGroup
 from .matching import Matching, alternating_reach
@@ -170,16 +168,13 @@ def run_bench(
     records = []
     for n in range(n_from, n_to + 1):
         g, m, exposed = generate_scenario(kind, n)
-        report = alternating_reach(g, m, exposed)
-        h = build_connection_graph(g, m, report)
-        d = Digraph(h.nodes, h.arcs)
+        run = ConnectionSearch(g, m, exposed).run
         for method in sorted(set(methods)):
             deadline = None
             if time_limit is not None:
                 deadline = time.monotonic() + time_limit
             t0 = time.perf_counter()
             if method == "grow":
-                run = GrowRun(d, exposed)
                 count = run.execute(deadline=deadline)
                 completed = run.stopped is None
             else:

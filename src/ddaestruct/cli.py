@@ -20,11 +20,10 @@ from .arborescence import (
     count_arborescences,
 )
 from .bench import KINDS, run_bench, write_csv
-from .connection_graph import build_connection_graph
-from .connections import classify_connection, tree_to_connection
+from .connections import EXPLICIT, IMPLICIT, ConnectionSearch
 from .errors import DdaeStructError, LimitExceeded, NotExposed
 from .graphs import build_ddae_graph, build_shifting_graph
-from .matching import alternating_reach, compute_matching
+from .matching import compute_matching
 from .structure import parse_ddae
 
 EXIT_OK = 0
@@ -89,51 +88,72 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _connection_payload(c, cls: str | None) -> dict:
-    payload: dict = {
-        "triples": [[i, _group_json(v), l] for i, v, l in c.sorted_triples()]
-    }
-    if not c.triples:
-        payload["degenerate"] = True
-    if cls is not None:
-        payload["class"] = cls
-    return payload
+def _line_parts(search: ConnectionSearch, fmt: str):
+    """Per-arc fragments and per-class line ends of the connection lines.
+
+    A line is opening[explicit] + the fragments of the tree's arcs in
+    ascending order of the node they enter + closing[explicit], where
+    explicit is the tree's class as a bool.  The arcs entering the first
+    covered equation carry no separator, and a trailing "" stands for the
+    root's -1 in the parent array.
+    """
+    run = search.run
+    first = min((x for x in run.node_ids if x != run.root), default=None)
+    frags = []
+    for i, v, l in search.triples:
+        if fmt == "json":
+            sep, text = ", ", json.dumps([i, _group_json(v), l])
+        else:
+            sep, text = "; ", f"F{i} -({v.var_index},{v.shift})-> F{l}"
+        frags.append(text if l == first else sep + text)
+    frags.append("")
+
+    classes = (IMPLICIT, EXPLICIT) if search.implicit is not None else (None, None)
+    if fmt == "json":
+        close = "]" if first is not None else '], "degenerate": true'
+        opening = ('{"triples": [',) * 2
+        closing = tuple(
+            close + ("" if cls is None else ', "class": ' + json.dumps(cls)) + "}\n"
+            for cls in classes
+        )
+    else:
+        opening = tuple(
+            "connection" + ("" if cls is None else f" [{cls}]") + ": " for cls in classes
+        )
+        closing = ("\n" if first is not None else "(empty: nothing to reach)\n",) * 2
+    return frags, opening, closing
 
 
 def _cmd_connections(args) -> int:
     s = parse_ddae(_read_text(args.input))
     g = build_shifting_graph(s)
     gd = build_ddae_graph(s) if args.classify else None
-    m, _ = compute_matching(g)
-    if m.is_matched(args.exposed):
-        raise NotExposed(f"equation {args.exposed} is matched, not exposed")
-    report = alternating_reach(g, m, args.exposed)
-    h = build_connection_graph(g, m, report)
-    run = GrowRun(Digraph(h.nodes, h.arcs), args.exposed)
+    m, reports = compute_matching(g)
+    reach = next((r for r in reports if r.exposed == args.exposed), None)
+    if reach is None:
+        if args.exposed in g.eq_nodes:
+            raise NotExposed(f"equation {args.exposed} is matched, not exposed")
+        raise NotExposed(f"equation {args.exposed} is not in the document")
+    search = ConnectionSearch(g, m, args.exposed, gd, reach)
+    frags, opening, closing = _line_parts(search, args.format)
+    frag = frags.__getitem__
+    implicit = search.implicit or frozenset()
+    write = sys.stdout.write
 
-    def on_tree(t) -> None:
-        c = tree_to_connection(t, h)
-        cls = classify_connection(c, gd) if gd is not None else None
-        if args.format == "json":
-            print(json.dumps(_connection_payload(c, cls)))
-        else:
-            parts = [
-                f"F{i} -({v.var_index},{v.shift})-> F{l}"
-                for i, v, l in c.sorted_triples()
-            ]
-            tag = f" [{cls}]" if cls else ""
-            body = "; ".join(parts) if parts else "(empty: nothing to reach)"
-            print(f"connection{tag}: {body}")
+    def on_tree(parent: list[int]) -> None:
+        explicit = implicit.isdisjoint(parent)
+        write(opening[explicit] + "".join(map(frag, parent)) + closing[explicit])
 
-    run.execute(visitor=on_tree, limit=args.limit)
-    return EXIT_LIMIT if run.stopped == "limit" else EXIT_OK
+    search.run.execute(visitor=on_tree, limit=args.limit)
+    return EXIT_LIMIT if search.run.stopped == "limit" else EXIT_OK
 
 
 def _cmd_arborescences(args) -> int:
     g, root = _load_digraph(args.graph, args.root)
     run = GrowRun(g, root)
 
-    def on_tree(t) -> None:
+    def on_tree(parent: list[int]) -> None:
+        t = run.arborescence(parent)
         print(json.dumps({"root": t.root, "arcs": [list(a) for a in t.sorted_arcs()]}))
 
     run.execute(visitor=on_tree, limit=args.limit)

@@ -12,6 +12,9 @@ A connection that exists group-wise may still fail to exist occurrence-wise
 (the linking variable appears in the two equations only at different
 derivative orders); such connections are *implicit* and are exactly the
 ones that force differentiation in the enclosing structural analysis.
+Whether a triple is witnessed by a shared occurrence depends only on its
+arc, so the class is decided once per arc and a tree is explicit exactly
+when all of its arcs are.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 
 from .arborescence import Arborescence, Digraph, GrowRun
 from .connection_graph import ConnectionGraph, build_connection_graph
-from .errors import ArcNotInGraph, NotExposed
+from .errors import ArcNotInGraph
 from .graphs import DdaeGraph, ShiftingGraph, VariableGroup
 from .matching import Matching, ReachReport, alternating_reach
 
@@ -69,6 +72,63 @@ def tree_to_connection(t: Arborescence, h: ConnectionGraph) -> Connection:
     return Connection(frozenset(triples))
 
 
+class ConnectionSearch:
+    """The stages from an exposed equation to its stream of trees, composed once.
+
+    Alternating reach, connection graph and enumeration run, plus tables
+    indexed by the run's arc index (`run.arcs`), each built once per
+    graph: `triples[a]` is arc a's triple, and `implicit` holds the arcs
+    whose triple no shared occurrence witnesses (None without an
+    occurrence graph).  Whether a triple is witnessed depends only on its
+    arc, so a tree is explicit exactly when it uses no arc of `implicit`:
+    a visitor of `run.execute` decides the class of a tree, and builds
+    whatever output it needs, from the parent array alone.
+    """
+
+    def __init__(
+        self,
+        g: ShiftingGraph,
+        m: Matching,
+        j: int,
+        gd: DdaeGraph | None = None,
+        reach: ReachReport | None = None,
+    ):
+        if reach is None:
+            reach = alternating_reach(g, m, j)
+        h = build_connection_graph(g, m, reach)
+        self.run = GrowRun(Digraph(h.nodes, h.arcs), j)
+        self.triples: list[Triple] = [(i, h.weight((i, l)), l) for i, l in self.run.arcs]
+        self.implicit: frozenset[int] | None = None
+        if gd is not None:
+            self.implicit = _implicit_arcs(self.triples, h.nodes, gd)
+
+    def connection(self, parent: list[int]) -> Connection:
+        """The connection of the tree a visitor was handed."""
+        triples = self.triples
+        return Connection(frozenset([triples[a] for a in parent if a >= 0]))
+
+    def class_of(self, parent: list[int]) -> str:
+        """EXPLICIT iff the tree uses no implicit arc; needs an occurrence graph."""
+        return EXPLICIT if self.implicit.isdisjoint(parent) else IMPLICIT
+
+
+def _implicit_arcs(triples: list[Triple], nodes, gd: DdaeGraph) -> frozenset[int]:
+    """Indices of the triples whose group occurs in its two equations only
+    at different derivative orders."""
+    derivs: dict[tuple[int, int, int], set[int]] = {}
+    for x in nodes:
+        for o in gd.occurrences_of(x):
+            derivs.setdefault((x, o.var_index, o.shift), set()).add(o.deriv)
+    none: frozenset[int] = frozenset()
+    return frozenset(
+        a
+        for a, (i, v, l) in enumerate(triples)
+        if derivs.get((i, v.var_index, v.shift), none).isdisjoint(
+            derivs.get((l, v.var_index, v.shift), none)
+        )
+    )
+
+
 def find_all_connections(
     g: ShiftingGraph,
     m: Matching,
@@ -78,21 +138,15 @@ def find_all_connections(
 ) -> int:
     """Stream every connection for the exposed equation j to the visitor.
 
-    Composition: alternating reach, connection graph, arborescence
-    enumeration, tree translation.  When the reach is empty the trivial
-    single-node tree yields exactly one empty connection.  Returns the
-    number of connections emitted.
+    When the reach is empty the trivial single-node tree yields exactly
+    one empty connection.  Returns the number of connections emitted.
     """
-    if m.is_matched(j):
-        raise NotExposed(f"equation {j} is matched to {m.group_of(j)}")
-    report = alternating_reach(g, m, j)
-    h = build_connection_graph(g, m, report)
-    d = Digraph(h.nodes, h.arcs)
+    search = ConnectionSearch(g, m, j)
     on_tree = None
     if visitor is not None:
-        def on_tree(t: Arborescence) -> None:
-            visitor(tree_to_connection(t, h))
-    return GrowRun(d, j).execute(visitor=on_tree, limit=limit)
+        def on_tree(parent: list[int]) -> None:
+            visitor(search.connection(parent))
+    return search.run.execute(visitor=on_tree, limit=limit)
 
 
 def verify_connection(
@@ -179,10 +233,13 @@ def collect_connections(
     limit: int | None = None,
 ) -> ConnectionReport:
     """Materialize all connections for j, classifying them when gd is given."""
+    search = ConnectionSearch(g, m, j, gd)
     found: list[Connection] = []
-    find_all_connections(g, m, j, visitor=found.append, limit=limit)
-    if gd is None:
-        classes = tuple("" for _ in found)
-    else:
-        classes = tuple(classify_connection(c, gd) for c in found)
-    return ConnectionReport(j, tuple(found), classes)
+    classes: list[str] = []
+
+    def on_tree(parent: list[int]) -> None:
+        found.append(search.connection(parent))
+        classes.append("" if gd is None else search.class_of(parent))
+
+    search.run.execute(visitor=on_tree, limit=limit)
+    return ConnectionReport(j, tuple(found), tuple(classes))

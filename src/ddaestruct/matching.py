@@ -61,24 +61,48 @@ def _try_augment(
     visited_eqs: set[int],
     visited_groups: set[VariableGroup],
 ) -> bool:
-    """Depth-first augmenting step from equation i; mutates the dicts on success."""
-    # first pass: a free admissible group ends the path
-    for v in g.groups_of(i):
-        if v not in group2eq and v in matchable:
-            eq2group[i] = v
-            group2eq[v] = i
-            return True
-    # second pass: re-route through matched groups
-    for v in g.groups_of(i):
-        if v in visited_groups or v not in group2eq:
+    """Depth-first augmenting search from equation i; mutates the dicts on success.
+
+    Each equation on the path first looks for a free admissible group,
+    which ends the path, and otherwise re-routes through its matched
+    groups in order.  The path is kept on explicit stacks, so its length is
+    not bounded by the interpreter's recursion limit.
+    """
+    path = [i]  # equations on the current alternating path
+    via: list[VariableGroup] = []  # via[d]: the group path[d] would take over
+    pos = [0]  # pos[d]: next position in path[d]'s groups to re-route through
+    while path:
+        x = path[-1]
+        groups = g.groups_of(x)
+        if pos[-1] == 0:
+            # first pass: a free admissible group ends the path
+            for v in groups:
+                if v not in group2eq and v in matchable:
+                    eq2group[x] = v
+                    group2eq[v] = x
+                    # re-route the path, innermost equation first
+                    for x, v in reversed(list(zip(path, via))):
+                        eq2group[x] = v
+                        group2eq[v] = x
+                    return True
+        # second pass: re-route through the next matched group
+        p = pos[-1]
+        while p < len(groups) and (groups[p] in visited_groups or groups[p] not in group2eq):
+            p += 1
+        if p == len(groups):
+            path.pop()
+            pos.pop()
+            if via:
+                via.pop()
             continue
+        pos[-1] = p + 1
+        v = groups[p]
         visited_groups.add(v)
         k = group2eq[v]
         visited_eqs.add(k)
-        if _try_augment(g, eq2group, group2eq, k, matchable, visited_eqs, visited_groups):
-            eq2group[i] = v
-            group2eq[v] = i
-            return True
+        path.append(k)
+        via.append(v)
+        pos.append(0)
     return False
 
 

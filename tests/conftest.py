@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -79,3 +80,17 @@ def random_structure(rng: random.Random, max_eqs: int = 5, max_vars: int = 4):
             )
         equations.append(ds.EquationStruct(i, tuple(sorted(occs))))
     return ds.DdaeStructure(n_eq, n_var, tuple(equations))
+
+
+def chain_document(n: int) -> str:
+    """Equation i < n holds x_i and x_{i+1}, equation n holds only x_2.
+
+    Matching in ascending order gives equation i the group of x_i until
+    equation n, whose only augmenting path re-routes equations 2..n-1.
+    """
+    def occ(k):
+        return {"var": k, "shift": 0, "deriv": 0}
+
+    equations = [{"index": i, "occurrences": [occ(i), occ(i + 1)]} for i in range(1, n)]
+    equations.append({"index": n, "occurrences": [occ(2)]})
+    return json.dumps({"n_equations": n, "n_variables": n, "equations": equations})

@@ -153,7 +153,7 @@ class TestLimitsAndRestoration:
     def test_limit_stops_cleanly(self):
         run = ds.GrowRun(H4, 4)
         trees = []
-        n = run.execute(visitor=trees.append, limit=3)
+        n = run.execute(visitor=lambda p: trees.append(run.arborescence(p)), limit=3)
         assert n == 3
         assert len(trees) == 3
         assert run.stopped == "limit"
@@ -188,14 +188,16 @@ class TestLimitsAndRestoration:
             assert run.working_arcs() == d.arcs
             trees = []
             run = ds.GrowRun(d, exposed)
-            assert run.execute(visitor=trees.append, limit=limit) == expected
+            assert run.execute(
+                visitor=lambda p: trees.append(run.arborescence(p)), limit=limit
+            ) == expected
             assert len(trees) == expected
             assert run.stopped == stopped
             assert run.working_arcs() == d.arcs
 
     def test_restoration_after_visitor_error(self):
-        def visitor(tree):
-            trees.append(tree)
+        def visitor(parent):
+            trees.append(run.arborescence(parent))
             if len(trees) == 3:
                 raise RuntimeError("visitor failed")
 

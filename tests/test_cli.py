@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import ddaestruct as ds
+from conftest import chain_document
 from ddaestruct.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +61,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", str(bad))
         assert code == 2
 
+    def test_augmenting_path_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(chain_document(3001))
+        code, out, _ = run(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["exposed"] == []
+
 
 class TestConnections:
     def test_json_lines_with_classes(self, capsys):
@@ -101,6 +111,104 @@ class TestConnections:
     def test_unknown_equation_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "connections", "--input", DOC3, "--exposed", "9")
         assert code == 2
+
+
+def scenario_document(kind: str, n: int, rng: random.Random) -> str:
+    """A scenario family as a document: each edge (i, (k, 0)) becomes one or
+    two occurrences of x_k at seeded derivative orders."""
+    g, _, _ = ds.generate_scenario(kind, n)
+    equations = []
+    for i in g.eq_nodes:
+        occs = [
+            {"var": v.var_index, "shift": 0, "deriv": q}
+            for v in g.groups_of(i)
+            for q in sorted(rng.sample(range(3), rng.randint(1, 2)))
+        ]
+        equations.append({"index": i, "occurrences": occs})
+    return json.dumps({"n_equations": n, "n_variables": n - 1, "equations": equations})
+
+
+# an exposed equation without occurrences reaches nothing
+DEGENERATE = json.dumps({
+    "n_equations": 2, "n_variables": 1,
+    "equations": [
+        {"index": 1, "occurrences": [{"var": 1, "shift": 0, "deriv": 1}]},
+        {"index": 2, "occurrences": []},
+    ],
+})
+
+
+def per_tree_stream(text: str, exposed: int, classify: bool, fmt: str, limit):
+    """The connection lines as built one tree at a time: each tree translated
+    to a connection, classified triple by triple and formatted whole."""
+    s = ds.parse_ddae(text)
+    g = ds.build_shifting_graph(s)
+    gd = ds.build_ddae_graph(s) if classify else None
+    m, _ = ds.compute_matching(g)
+    h = ds.build_connection_graph(g, m, ds.alternating_reach(g, m, exposed))
+    lines = []
+
+    def on_tree(t):
+        c = ds.tree_to_connection(t, h)
+        cls = ds.classify_connection(c, gd) if gd is not None else None
+        if fmt == "json":
+            payload = {
+                "triples": [[i, [v.var_index, v.shift], l] for i, v, l in c.sorted_triples()]
+            }
+            if not c.triples:
+                payload["degenerate"] = True
+            if cls is not None:
+                payload["class"] = cls
+            lines.append(json.dumps(payload) + "\n")
+        else:
+            parts = [
+                f"F{i} -({v.var_index},{v.shift})-> F{l}" for i, v, l in c.sorted_triples()
+            ]
+            tag = f" [{cls}]" if cls else ""
+            body = "; ".join(parts) if parts else "(empty: nothing to reach)"
+            lines.append(f"connection{tag}: {body}\n")
+
+    d = ds.Digraph(h.nodes, h.arcs)
+    ds.enumerate_arborescences(d, exposed, on_tree, limit)
+    return "".join(lines), ds.count_arborescences(d, exposed)
+
+
+class TestConnectionStreamParity:
+    def documents(self):
+        rng = random.Random(41)
+        docs = [(Path(DOC3).read_text(), 3), (Path(DOC4).read_text(), 4), (DEGENERATE, 2)]
+        for kind, n in (("complete", 5), ("triangular", 6), ("banded", 7)):
+            docs.append((scenario_document(kind, n, rng), n))
+        return docs
+
+    def test_lines_equal_the_per_tree_path(self, capsys, tmp_path):
+        classes = set()
+        for k, (text, exposed) in enumerate(self.documents()):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(text)
+            _, total = per_tree_stream(text, exposed, False, "json", None)
+            for fmt in ("json", "text"):
+                for classify in (False, True):
+                    for limit in (None, total - 1, total, total + 1):
+                        argv = ["connections", "--input", str(path),
+                                "--exposed", str(exposed), "--format", fmt]
+                        argv += ["--classify"] if classify else []
+                        argv += ["--limit", str(limit)] if limit is not None else []
+                        code, out, _ = run(capsys, *argv)
+                        expected, _ = per_tree_stream(text, exposed, classify, fmt, limit)
+                        assert out == expected, argv
+                        assert code == (3 if limit is not None and limit < total else 0)
+                        if classify and fmt == "json":
+                            classes.update(json.loads(line)["class"] for line in out.splitlines())
+        assert classes == {"explicit", "implicit"}
+
+    def test_degenerate_line(self, capsys, tmp_path):
+        path = tmp_path / "degenerate.json"
+        path.write_text(DEGENERATE)
+        code, out, _ = run(capsys, "connections", "--input", str(path), "--exposed", "2",
+                           "--classify")
+        assert code == 0
+        assert json.loads(out) == {"triples": [], "degenerate": True, "class": "explicit"}
 
 
 class TestArborescences:

@@ -220,6 +220,52 @@ class TestBijectionWithArborescences:
                 done += 1
 
 
+def random_square_structure(rng: random.Random):
+    """n equations over n - 1 variables at shift 0, each equation touching
+    each variable with probability 0.6 at one or both derivative orders 0, 1:
+    dense enough that most exposed equations have connections of both
+    classes."""
+    n = rng.randint(2, 6)
+    equations = []
+    for i in range(1, n + 1):
+        occs = {
+            ds.VarOccurrence(k, 0, q)
+            for k in range(1, n)
+            if rng.random() < 0.6
+            for q in rng.sample(range(2), rng.randint(1, 2))
+        }
+        equations.append(ds.EquationStruct(i, tuple(sorted(occs))))
+    return ds.DdaeStructure(n, n - 1, tuple(equations))
+
+
+class TestClassTally:
+    def test_explicit_count_is_the_determinant_of_the_explicit_arcs(self):
+        # a tree is explicit iff all its arcs are witnessed, so the explicit
+        # connections are the spanning trees of the witnessed-arc subgraph
+        rng = random.Random(324)
+        done = mixed = 0
+        while done < 150:
+            s = random_square_structure(rng)
+            g = ds.build_shifting_graph(s)
+            gd = ds.build_ddae_graph(s)
+            m, reports = ds.compute_matching(g)
+            for r in reports:
+                h = ds.build_connection_graph(g, m, r)
+                witnessed = {
+                    (i, l) for i, l in h.arcs if ds.shared_occurrences((i, h.weight((i, l)), l), gd)
+                }
+                total = ds.count_arborescences(ds.Digraph(h.nodes, h.arcs), r.exposed)
+                explicit = ds.count_arborescences(ds.Digraph(h.nodes, witnessed), r.exposed)
+                report = ds.collect_connections(g, m, r.exposed, gd)
+                assert report.classes.count(ds.EXPLICIT) == explicit
+                assert report.classes.count(ds.IMPLICIT) == total - explicit
+                for c, cls in zip(report.connections, report.classes):
+                    assert cls == ds.classify_connection(c, gd)
+                mixed += 0 < explicit < total
+                done += 1
+        assert mixed >= 10
+
+
 class TestCollect:
     def test_report_shape(self, graph3, matched3, sys3):
         m, _ = matched3

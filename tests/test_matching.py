@@ -5,7 +5,7 @@ import random
 import pytest
 
 import ddaestruct as ds
-from conftest import G, random_structure
+from conftest import G, chain_document, random_structure
 
 
 class TestAugmentPath:
@@ -84,6 +84,16 @@ class TestComputeMatching:
                 ok, m2, _ = ds.augment_path(g, m, r.exposed, matchable)
                 assert not ok
                 assert m2.pairs == m.pairs
+
+    def test_augmenting_path_longer_than_the_recursion_limit(self):
+        n = 3001
+        g = ds.build_shifting_graph(ds.parse_ddae(chain_document(n)))
+        m, reports = ds.compute_matching(g)
+        expected = {i: G(i + 1, 0) for i in range(2, n)}
+        expected[1] = G(1, 0)
+        expected[n] = G(2, 0)
+        assert m.pairs == expected
+        assert reports == []
 
     def test_matched_groups_are_highest_shift_edges(self):
         rng = random.Random(101)
