@@ -36,12 +36,14 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DdaeStructError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DdaeStructError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
     try:
         raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DdaeStructError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "nodes" not in raw or "arcs" not in raw:
         raise DdaeStructError(f"{path}: digraph JSON needs 'nodes' and 'arcs'")

@@ -57,12 +57,11 @@ def build_connection_graph(
     non-matching edge.  The exposed node always has in-degree 0.
     """
     j = report.exposed
-    eq_set = set(g.eq_nodes)
-    if j not in eq_set:
+    if not g.has_equation(j):
         raise InconsistentReport(f"exposed equation {j} not in graph")
     if m.is_matched(j):
         raise InconsistentReport(f"exposed equation {j} is matched")
-    bad = report.reached_eqs - eq_set
+    bad = {l for l in report.reached_eqs if not g.has_equation(l)}
     if bad:
         raise InconsistentReport(f"reached equations {sorted(bad)} not in graph")
     unmatched = {l for l in report.reached_eqs if not m.is_matched(l)}

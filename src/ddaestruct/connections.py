@@ -164,14 +164,13 @@ def verify_connection(
     reach with no repeats, at least one triple must start at j, and the
     triples must hang together without cycles.
     """
-    group2eq = {v: k for k, v in m.pairs.items()}
     nodes = set(reach.reached_eqs) | {j}
     for i, v, l in c.triples:
         if (i, v) not in g.edges:
             return False
         if m.group_of(i) == v:
             return False  # first edge must not be a matching edge
-        if group2eq.get(v) != l:
+        if m.inverse.get(v) != l:
             return False  # second edge must be l's matching edge
         if i not in nodes:
             return False

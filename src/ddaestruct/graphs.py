@@ -13,14 +13,16 @@ first view but not in the second; both are therefore needed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .structure import DdaeStructure, VarOccurrence
 
 
-@dataclass(frozen=True, order=True)
-class VariableGroup:
-    """Group node (k, p): all derivative orders of variable k at shift p."""
+class VariableGroup(NamedTuple):
+    """Group node (k, p): all derivative orders of variable k at shift p.
+
+    A named tuple like `VarOccurrence`: it equals the plain tuple (k, p).
+    """
 
     var_index: int
     shift: int
@@ -37,25 +39,32 @@ class ShiftingGraph:
         self.eq_nodes: tuple[int, ...] = tuple(eq_nodes)
         self.group_nodes: frozenset[VariableGroup] = frozenset(group_nodes)
         self.edges: frozenset[tuple[int, VariableGroup]] = frozenset(edges)
-        eq_set = set(self.eq_nodes)
-        for i, v in self.edges:
-            if i not in eq_set or v not in self.group_nodes:
-                raise ValueError(f"edge ({i}, {v}) has an endpoint outside the node sets")
-        untouched = self.group_nodes - {v for _, v in self.edges}
-        if untouched:
-            # isolated equation nodes are legitimate, isolated groups are not
-            raise ValueError(f"group nodes without any edge: {sorted(untouched)}")
-        self._groups_of: dict[int, tuple[VariableGroup, ...]] = {i: () for i in self.eq_nodes}
-        self._eqs_of: dict[VariableGroup, tuple[int, ...]] = {v: () for v in self.group_nodes}
+        groups = self.group_nodes
         by_eq: dict[int, list[VariableGroup]] = {i: [] for i in self.eq_nodes}
-        by_group: dict[VariableGroup, list[int]] = {v: [] for v in self.group_nodes}
+        by_group: dict[VariableGroup, list[int]] = {}
         for i, v in self.edges:
-            by_eq[i].append(v)
-            by_group[v].append(i)
-        for i, vs in by_eq.items():
-            self._groups_of[i] = tuple(sorted(vs))
-        for v, eqs in by_group.items():
-            self._eqs_of[v] = tuple(sorted(eqs))
+            vs = by_eq.get(i)
+            if vs is None or v not in groups:
+                raise ValueError(f"edge ({i}, {v}) has an endpoint outside the node sets")
+            vs.append(v)
+            eqs = by_group.get(v)
+            if eqs is None:
+                by_group[v] = [i]
+            else:
+                eqs.append(i)
+        if len(by_group) != len(groups):
+            # isolated equation nodes are legitimate, isolated groups are not
+            untouched = groups.difference(by_group)
+            raise ValueError(f"group nodes without any edge: {sorted(untouched)}")
+        self._groups_of: dict[int, tuple[VariableGroup, ...]] = {
+            i: tuple(sorted(vs)) for i, vs in by_eq.items()
+        }
+        self._eqs_of: dict[VariableGroup, tuple[int, ...]] = {
+            v: tuple(sorted(eqs)) for v, eqs in by_group.items()
+        }
+
+    def has_equation(self, i: int) -> bool:
+        return i in self._groups_of
 
     def groups_of(self, i: int) -> tuple[VariableGroup, ...]:
         return self._groups_of[i]
@@ -74,12 +83,12 @@ class DdaeGraph:
         self.eq_nodes: tuple[int, ...] = tuple(eq_nodes)
         self.var_nodes: frozenset[VarOccurrence] = frozenset(var_nodes)
         self.edges: frozenset[tuple[int, VarOccurrence]] = frozenset(edges)
-        self._occs_of: dict[int, frozenset[VarOccurrence]] = {}
-        by_eq: dict[int, set[VarOccurrence]] = {i: set() for i in self.eq_nodes}
+        by_eq: dict[int, list[VarOccurrence]] = {i: [] for i in self.eq_nodes}
         for i, o in self.edges:
-            by_eq[i].add(o)
-        for i, occs in by_eq.items():
-            self._occs_of[i] = frozenset(occs)
+            by_eq[i].append(o)
+        self._occs_of: dict[int, frozenset[VarOccurrence]] = {
+            i: frozenset(occs) for i, occs in by_eq.items()
+        }
 
     def occurrences_of(self, i: int) -> frozenset[VarOccurrence]:
         return self._occs_of[i]
@@ -87,25 +96,18 @@ class DdaeGraph:
 
 def build_shifting_graph(s: DdaeStructure) -> ShiftingGraph:
     """Collapse derivative orders: one group node per (k, p) that occurs."""
-    edges = set()
-    groups = set()
-    for eq in s.equations:
-        for occ in eq.occurrences:
-            g = VariableGroup(occ.var_index, occ.shift)
-            groups.add(g)
-            edges.add((eq.eq_index, g))
-    return ShiftingGraph(range(1, s.n_equations + 1), groups, edges)
+    edges = {
+        (eq.eq_index, VariableGroup(k, p))
+        for eq in s.equations
+        for k, p, _ in eq.occurrences
+    }
+    return ShiftingGraph(range(1, s.n_equations + 1), {v for _, v in edges}, edges)
 
 
 def build_ddae_graph(s: DdaeStructure) -> DdaeGraph:
     """One variable node per distinct occurrence triple; edges mirror incidence."""
-    edges = set()
-    var_nodes = set()
-    for eq in s.equations:
-        for occ in eq.occurrences:
-            var_nodes.add(occ)
-            edges.add((eq.eq_index, occ))
-    return DdaeGraph(range(1, s.n_equations + 1), var_nodes, edges)
+    edges = {(eq.eq_index, o) for eq in s.equations for o in eq.occurrences}
+    return DdaeGraph(range(1, s.n_equations + 1), {o for _, o in edges}, edges)
 
 
 def highest_shift_groups(g: ShiftingGraph) -> frozenset[VariableGroup]:
@@ -115,10 +117,10 @@ def highest_shift_groups(g: ShiftingGraph) -> frozenset[VariableGroup]:
     exists anywhere in the graph; negatively shifted groups never qualify.
     """
     top: dict[int, int] = {}
-    for v in g.group_nodes:
-        cur = top.get(v.var_index)
-        if cur is None or v.shift > cur:
-            top[v.var_index] = v.shift
+    for k, p in g.group_nodes:
+        cur = top.get(k)
+        if cur is None or p > cur:
+            top[k] = p
     return frozenset(
         VariableGroup(k, p) for k, p in top.items() if p >= 0
     )

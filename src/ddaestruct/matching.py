@@ -19,25 +19,23 @@ from .graphs import ShiftingGraph, VariableGroup, highest_shift_groups
 
 @dataclass(frozen=True)
 class Matching:
-    """Injective map from equation ids to variable groups."""
+    """Injective map from equation ids to variable groups.
+
+    `inverse` maps each matched group back to its equation.  It is built
+    once, so `pairs` must not be changed after construction.
+    """
 
     pairs: dict[int, VariableGroup] = field(default_factory=dict)
+    inverse: dict[VariableGroup, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inverse", {v: i for i, v in self.pairs.items()})
 
     def group_of(self, i: int) -> VariableGroup | None:
         return self.pairs.get(i)
 
-    def eq_of(self, v: VariableGroup) -> int | None:
-        for i, g in self.pairs.items():
-            if g == v:
-                return i
-        return None
-
     def is_matched(self, i: int) -> bool:
         return i in self.pairs
-
-    @property
-    def matched_groups(self) -> frozenset[VariableGroup]:
-        return frozenset(self.pairs.values())
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -119,7 +117,7 @@ def augment_path(
     equation nodes and matched groups touched by alternating paths from i.
     """
     eq2group = dict(m.pairs)
-    group2eq = {v: k for k, v in eq2group.items()}
+    group2eq = dict(m.inverse)
     visited_eqs: set[int] = set()
     visited_groups: set[VariableGroup] = set()
     ok = _try_augment(g, eq2group, group2eq, i, matchable, visited_eqs, visited_groups)
@@ -155,11 +153,11 @@ def alternating_reach(g: ShiftingGraph, m: Matching, j: int) -> ReachReport:
     through the matching edge of the group it lands on; unmatched groups are
     dead ends and are not reported.
     """
-    if j not in g.eq_nodes:
+    if not g.has_equation(j):
         raise NotExposed(f"equation {j} is not in the graph")
     if m.is_matched(j):
         raise NotExposed(f"equation {j} is matched to {m.group_of(j)}")
-    group2eq = {v: k for k, v in m.pairs.items()}
+    group2eq = m.inverse
     reached_eqs: set[int] = set()
     reached_groups: set[VariableGroup] = set()
     stack = [j]

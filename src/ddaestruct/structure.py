@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DuplicateOccurrence,
@@ -21,9 +22,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class VarOccurrence:
-    """One concrete variable occurrence: variable k, shift p, derivative order q."""
+class VarOccurrence(NamedTuple):
+    """One concrete variable occurrence: variable k, shift p, derivative order q.
+
+    A named tuple, so hashing and comparison run in C; it equals the plain
+    tuple (k, p, q) and sorts like it.
+    """
 
     var_index: int
     shift: int
@@ -59,12 +63,6 @@ class DdaeStructure:
     n_variables: int
     equations: tuple[EquationStruct, ...] = field(default_factory=tuple)
 
-    def equation(self, i: int) -> EquationStruct:
-        for eq in self.equations:
-            if eq.eq_index == i:
-                return eq
-        raise IndexOutOfRange(f"no equation with index {i}")
-
 
 # --- interchange format -------------------------------------------------
 
@@ -74,8 +72,8 @@ _OCC_KEYS = {"var", "shift", "deriv"}
 
 
 def _require_int(value, what: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, int):
+    # JSON integers decode to exactly int; bool, an int subclass, is refused
+    if type(value) is not int:
         raise SchemaViolation(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -90,7 +88,9 @@ def parse_ddae(document: str) -> DdaeStructure:
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers syntax errors and integers beyond the interpreter's
+        # digit limit; RecursionError covers nesting deeper than its stack
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
 
     if not isinstance(raw, dict):
@@ -133,11 +133,11 @@ def parse_ddae(document: str) -> DdaeStructure:
             raise IndexOutOfRange(f"equation index {idx} listed twice")
         seen_indices.add(idx)
 
-        occs = []
+        occs: set[VarOccurrence] = set()
         for occ in entry["occurrences"]:
             if not isinstance(occ, dict):
                 raise SchemaViolation("each occurrence must be an object")
-            if set(occ) != _OCC_KEYS:
+            if occ.keys() != _OCC_KEYS:
                 raise SchemaViolation(
                     f"occurrence must have exactly fields var/shift/deriv, got {sorted(occ)}"
                 )
@@ -156,7 +156,7 @@ def parse_ddae(document: str) -> DdaeStructure:
                     f"occurrence (var={var}, shift={shift}, deriv={deriv}) "
                     f"listed twice in equation {idx}"
                 )
-            occs.append(triple)
+            occs.add(triple)
         equations.append(EquationStruct(idx, tuple(sorted(occs)), label))
 
     if seen_indices != set(range(1, n_eq + 1)):

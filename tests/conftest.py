@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
@@ -9,6 +10,13 @@ import pytest
 import ddaestruct as ds
 
 DATA = Path(__file__).parent / "data"
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a child Python that imports this same package."""
+    src = str(Path(ds.__file__).resolve().parents[1])
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def G(k: int, p: int) -> ds.VariableGroup:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ddaestruct as ds
-from conftest import chain_document
+from conftest import chain_document, subprocess_env
 from ddaestruct.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -248,6 +250,35 @@ class TestArborescences:
         code, _, err = run(capsys, "arborescences", "--graph", str(path))
         assert code == 2
         assert "root" in err
+
+
+# inputs that once escaped as a traceback instead of an input error
+UNREADABLE = {
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer-of-5000-digits": b'{"n_equations": ' + b"9" * 5000 + b"}",
+    "not-utf8": b'{"n_equations": 1, "label": "\xff"}',
+}
+
+
+class TestUnreadableInput:
+    """Run as a process, so that an escaping exception shows as a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--input"), ("arborescences", "--graph"),
+    ])
+    def test_input_error_without_traceback(self, tmp_path, command, flag, name):
+        path = tmp_path / "input.json"
+        path.write_bytes(UNREADABLE[name])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddaestruct", command, flag, str(path)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCountAndOracle:

@@ -52,6 +52,39 @@ class TestShiftingGraph:
         with pytest.raises(ValueError):
             ds.ShiftingGraph([1], {G(1, 0)}, ())
 
+    def test_edge_from_unknown_equation_rejected(self):
+        with pytest.raises(ValueError, match="outside the node sets"):
+            ds.ShiftingGraph([1], {G(1, 0)}, {(1, G(1, 0)), (2, G(1, 0))})
+
+    def test_edge_to_unknown_group_rejected(self):
+        with pytest.raises(ValueError, match="outside the node sets"):
+            ds.ShiftingGraph([1], {G(1, 0)}, {(1, G(1, 0)), (1, G(2, 0))})
+
+
+class TestVariableGroup:
+    def test_repr_and_fields(self):
+        v = G(1, 0)
+        assert repr(v) == "VariableGroup(var_index=1, shift=0)"
+        assert (v.var_index, v.shift) == (1, 0)
+
+    def test_sorts_by_variable_then_shift(self):
+        assert sorted([G(2, -1), G(1, 1), G(1, -1), G(1, 0)]) == [
+            G(1, -1), G(1, 0), G(1, 1), G(2, -1)
+        ]
+
+    def test_hashable_and_equal_to_its_plain_tuple(self):
+        assert len({G(1, 0), G(1, 0), G(1, 1)}) == 2
+        assert G(1, 0) == (1, 0)
+        assert {G(1, 0): "x"}[(1, 0)] == "x"
+
+    def test_refuses_attribute_assignment(self):
+        v = G(1, 0)
+        with pytest.raises(AttributeError):
+            v.shift = 1
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        assert v == G(1, 0)
+
 
 class TestDdaeGraph:
     def test_three_equation_example(self, sys3):

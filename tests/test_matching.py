@@ -145,7 +145,7 @@ class TestAlternatingReach:
             for r in reports:
                 assert r.exposed not in r.reached_eqs
                 for v in r.reached_groups:
-                    k = m.eq_of(v)
+                    k = m.inverse.get(v)
                     assert k is not None
                     assert k in r.reached_eqs or k == r.exposed
                 for k in r.reached_eqs:

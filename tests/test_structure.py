@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -125,6 +126,64 @@ class TestParse:
         )
         with pytest.raises(ds.SchemaViolation):
             ds.parse_ddae(doc)
+
+
+class TestLargeEquation:
+    """Duplicate detection stays linear in the occurrences of one equation."""
+
+    N_VARS = 10_000  # two shifts each: 20,000 distinct occurrences
+
+    def occurrences(self):
+        return [
+            {"var": k, "shift": p, "deriv": 0}
+            for k in range(1, self.N_VARS + 1)
+            for p in (0, 1)
+        ]
+
+    def document(self, occurrences) -> str:
+        return json.dumps({
+            "n_equations": 1,
+            "n_variables": self.N_VARS,
+            "equations": [{"index": 1, "occurrences": occurrences}],
+        })
+
+    def test_twenty_thousand_occurrences_parse_quickly(self):
+        doc = self.document(self.occurrences())
+        start = time.perf_counter()
+        s = ds.parse_ddae(doc)
+        elapsed = time.perf_counter() - start
+        assert len(s.equations[0].occurrences) == 2 * self.N_VARS
+        assert elapsed < 2.0
+
+    def test_duplicate_among_them_still_raises(self):
+        occurrences = self.occurrences()
+        occurrences.append(dict(occurrences[12_345]))
+        with pytest.raises(ds.DuplicateOccurrence):
+            ds.parse_ddae(self.document(occurrences))
+
+
+class TestVarOccurrence:
+    def test_repr_and_fields(self):
+        o = occ(1, -1, 2)
+        assert repr(o) == "VarOccurrence(var_index=1, shift=-1, deriv=2)"
+        assert (o.var_index, o.shift, o.deriv) == (1, -1, 2)
+
+    def test_sorts_by_variable_then_shift_then_order(self):
+        unordered = [occ(2, -1, 0), occ(1, 0, 1), occ(1, 0, 0), occ(1, -1, 3)]
+        assert sorted(unordered) == [occ(1, -1, 3), occ(1, 0, 0), occ(1, 0, 1), occ(2, -1, 0)]
+
+    def test_hashable_and_equal_to_its_plain_tuple(self):
+        assert len({occ(1, 0, 0), occ(1, 0, 0), occ(1, 0, 1)}) == 2
+        assert occ(1, 0, 0) == (1, 0, 0)
+        assert {occ(1, 0, 0): "x"}[(1, 0, 0)] == "x"
+
+    def test_refuses_attribute_assignment(self):
+        o = occ(1, 0, 0)
+        with pytest.raises(AttributeError):
+            o.deriv = 1
+        with pytest.raises(AttributeError):
+            o.extra = 1
+        assert o == occ(1, 0, 0)
 
 
 class TestValidate:
