@@ -67,7 +67,6 @@ from .matching import (
     Matching,
     ReachReport,
     alternating_reach,
-    augment_path,
     compute_matching,
 )
 from .structure import (
@@ -114,7 +113,6 @@ __all__ = [
     "VarOccurrence",
     "VariableGroup",
     "alternating_reach",
-    "augment_path",
     "brute_force_arborescences",
     "build_connection_graph",
     "build_ddae_graph",

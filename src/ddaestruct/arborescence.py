@@ -11,21 +11,40 @@ arc enters its head from a nondescendant of that head in the most recently
 emitted tree.  Deleted arcs are journalled and restored on the way out, so
 the working graph is back to the input when the run finishes.
 
+The level that adds the last node takes a shortcut.  There the subtree
+spans all nodes but one, v, so every frontier arc enters v and completes
+exactly one tree.  The general step would pop each arc in turn, drop the
+others from the frontier, emit the one completion, put them back, delete
+the arc and walk the parent chain of each remaining in-arc of v to the
+root, only to learn what is known in advance: v has no descendants, so an
+arc is a bridge exactly when no other in-arc of v is left, which first
+happens at the bottom arc.  The shortcut instead sets `parent[v]` to each
+frontier arc from the top of the stack down and emits the tree, leaving
+the frontier, the working graph and the journals untouched.  It emits the
+same trees in the same order, stops at the same points (a stop above the
+bottom arc leaves trees unemitted), and leaves the last emitted tree in
+`parent` for the bridge tests of the outer levels, at O(1) per tree
+instead of O(in-degree of v * depth).  The empty frontier of a spanning
+subtree is then never reached, except by the single-node graph, which is
+settled before the first level.
+
 Three properties of the bookkeeping are load-bearing:
 
 * growth is depth-first (new frontier arcs are pushed on top, so the next
   pop extends the deepest leaf), which guarantees the last emitted tree has
   the fewest descendants below the tested arc's head and makes the
-  nondescendant bridge test sound;
+  nondescendant bridge test sound; the last-node shortcut keeps this,
+  because what it leaves in `parent` is the last tree emitted;
 * frontier arcs invalidated by a tree extension (arcs pointing at the node
   just added) are removed from the middle of the stack and later reinserted
   at the exact positions they were removed from;
 * a count-only run allocates nothing per tree: the undo journals are
   shared by all levels, the stacks are preallocated so they never shrink
-  and regrow, no exception or iterator object is made in the hot loop, and
-  the tree counter is kept in base-256 digits (past about a hundred arcs,
-  stack positions outgrow CPython's cached ints 0..256 and cost an int
-  object each).  Under `tracemalloc` every allocation costs a traceback,
+  and regrow, no exception or iterator object is made in the hot loop (the
+  last-node shortcut only indexes the frontier stack), and the tree
+  counter is kept in base-256 digits (past about a hundred arcs, stack
+  positions outgrow CPython's cached ints 0..256 and cost an int object
+  each).  Under `tracemalloc` every allocation costs a traceback,
   whose line number is found by scanning the enumerator's code up to the
   allocating instruction, so a few allocations per tree made the traced
   count of acceptance criterion 8 (4.78M trees) about 14 times slower than
@@ -223,8 +242,8 @@ class GrowRun:
         the working graph is fully restored.  `stopped` then names the
         reason, or stays None when the stop came at the last tree and
         nothing was cut off.  bridge_hook, for white-box testing, is called
-        as hook(arc, tree_arcs, remaining_arcs) whenever the bridge test
-        fires.
+        as hook(arc, tree_arcs, remaining_arcs) whenever a level that ran
+        to its end finds its bridge.
         """
         n = self._n
         r = self._idx[self.root]
@@ -260,6 +279,13 @@ class GrowRun:
         # the bridge test can walk this array in place of a copy of the last
         # tree
         parent = [-1] * n
+        if n == 1:
+            # the root alone is the one tree, and no level runs
+            if visitor is not None:
+                visitor(parent)
+            self.count = 1
+            return 1
+        last = n - 1
         m = len(head)
         # frontier stack; F_head mirrors the arc heads so that membership
         # scans run at C speed.  A frontier holds distinct arcs from the
@@ -285,20 +311,48 @@ class GrowRun:
         stop: str | None = None
         cut = False  # the stop left trees unemitted
 
-        def grow() -> None:
+        def grow(size: int) -> None:
+            # size is the number of nodes in the subtree
             nonlocal lo, hi, stop, cut
-            if F_head[-1] < 0:
-                # empty frontier: the subtree spans the graph
-                lo += 1
-                if lo == 256:
-                    lo = 0
-                    hi += 1
-                if visitor is not None:
-                    visitor(parent)
-                if lo == lim_lo and hi == lim_hi:
-                    stop = "limit"
-                elif deadline is not None and time.monotonic() >= deadline:
-                    stop = "deadline"
+            if size == last:
+                # every frontier arc enters the one node v left outside, and
+                # each finishes a tree: emit them in pop order, leaving the
+                # frontier and the working graph as they are
+                v = F_head[-1]
+                k = len(F)
+                while k > fbase:
+                    k -= 1
+                    parent[v] = F[k]
+                    lo += 1
+                    if lo == 256:
+                        lo = 0
+                        hi += 1
+                    if visitor is not None:
+                        visitor(parent)
+                    if lo == lim_lo and hi == lim_hi:
+                        stop = "limit"
+                    elif deadline is not None and time.monotonic() >= deadline:
+                        stop = "deadline"
+                    else:
+                        continue
+                    if k > fbase:
+                        cut = True
+                    return
+                if bridge_hook is not None:
+                    # the bottom arc is this level's bridge, found with all
+                    # of the level's arcs deleted
+                    level = F[fbase:]
+                    for a in level:
+                        alive[a] = False
+                    try:
+                        bridge_hook(
+                            self.arcs[level[0]],
+                            self._current_tree_arcs(in_tree, parent, r),
+                            self.working_arcs(),
+                        )
+                    finally:
+                        for a in level:
+                            alive[a] = True
                 return
             ndead = 0
             while True:
@@ -330,7 +384,7 @@ class GrowRun:
                         F.append(a)
                         F_head.append(head[a])
 
-                grow()
+                grow(size + 1)
 
                 # undo this extension: pop what we pushed, reinsert what we
                 # removed at the recorded positions, detach the leaf
@@ -389,7 +443,7 @@ class GrowRun:
                 ndead -= 1
 
         try:
-            grow()
+            grow(1)
         finally:
             # a visitor that raises unwinds the levels without their undo;
             # the journal still names every arc they deleted

@@ -54,6 +54,8 @@ def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
     root = root_arg if root_arg is not None else raw.get("root")
     if root is None:
         raise DdaeStructError("no root: pass --root or put 'root' in the file")
+    if isinstance(root, (list, dict)):
+        raise DdaeStructError(f"{path}: root must be a node id, not {json.dumps(root)}")
     return g, root
 
 

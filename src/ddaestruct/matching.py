@@ -104,29 +104,6 @@ def _try_augment(
     return False
 
 
-def augment_path(
-    g: ShiftingGraph,
-    m: Matching,
-    i: int,
-    matchable: frozenset[VariableGroup],
-) -> tuple[bool, Matching, ReachReport | None]:
-    """Try to extend the matching by an augmenting path starting at equation i.
-
-    Returns (True, extended matching, None) on success.  On failure the
-    matching is returned unchanged together with a report of exactly the
-    equation nodes and matched groups touched by alternating paths from i.
-    """
-    eq2group = dict(m.pairs)
-    group2eq = dict(m.inverse)
-    visited_eqs: set[int] = set()
-    visited_groups: set[VariableGroup] = set()
-    ok = _try_augment(g, eq2group, group2eq, i, matchable, visited_eqs, visited_groups)
-    if ok:
-        return True, Matching(eq2group), None
-    report = ReachReport(i, frozenset(visited_eqs), frozenset(visited_groups))
-    return False, m, report
-
-
 def compute_matching(g: ShiftingGraph) -> tuple[Matching, list[ReachReport]]:
     """Match equations to highest-shift groups, in ascending equation order.
 

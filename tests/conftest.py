@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,24 @@ import pytest
 import ddaestruct as ds
 
 DATA = Path(__file__).parent / "data"
+
+
+def pytest_configure(config):
+    # hypothesis caches the literals of local modules in its home directory
+    # while it collects, by default .hypothesis/ in the working directory;
+    # give it a temporary one that goes with the session
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    home = getattr(config, "hypothesis_home", None)
+    if home is not None:
+        home.cleanup()
 
 
 def subprocess_env() -> dict[str, str]:

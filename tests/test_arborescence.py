@@ -195,6 +195,36 @@ class TestLimitsAndRestoration:
             assert run.stopped == stopped
             assert run.working_arcs() == d.arcs
 
+    def test_every_limit_stops_on_a_prefix_of_the_stream(self):
+        # the level that adds the last node emits one tree per frontier
+        # arc; a stop at any of them must cut the stream exactly there.
+        # With one or two nodes the root level is itself that level.
+        rng = random.Random(602)
+        graphs = [
+            (ds.Digraph([1], []), 1),
+            (ds.Digraph([1, 2], [(1, 2), (2, 1)]), 1),
+            (ds.Digraph([1, 2], [(1, 2)]), 2),
+        ]
+        graphs += [random_digraph(rng, max_nodes=7, max_arcs=20) for _ in range(80)]
+        for g, root in graphs:
+            stream = []
+            total = ds.GrowRun(g, root).execute(
+                visitor=lambda p: stream.append(tuple(p))
+            )
+            for limit in range(1, total + 2):
+                seen = []
+                run = ds.GrowRun(g, root)
+                assert run.execute(
+                    visitor=lambda p: seen.append(tuple(p)), limit=limit
+                ) == min(limit, total)
+                assert seen == stream[:limit]
+                assert (run.stopped == "limit") == (limit < total)
+                assert run.working_arcs() == g.arcs
+            run = ds.GrowRun(g, root)
+            assert run.execute(deadline=time.monotonic() - 1.0) == min(1, total)
+            assert (run.stopped == "deadline") == (total > 1)
+            assert run.working_arcs() == g.arcs
+
     def test_restoration_after_visitor_error(self):
         def visitor(parent):
             trees.append(run.arborescence(parent))

@@ -257,6 +257,8 @@ UNREADABLE = {
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
     "integer-of-5000-digits": b'{"n_equations": ' + b"9" * 5000 + b"}",
     "not-utf8": b'{"n_equations": 1, "label": "\xff"}',
+    "root-is-array": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": [1]}',
+    "root-is-object": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": {"id": 1}}',
 }
 
 
@@ -266,6 +268,7 @@ class TestUnreadableInput:
     @pytest.mark.parametrize("name", sorted(UNREADABLE))
     @pytest.mark.parametrize("command, flag", [
         ("analyze", "--input"), ("arborescences", "--graph"),
+        ("count", "--graph"), ("oracle", "--graph"),
     ])
     def test_input_error_without_traceback(self, tmp_path, command, flag, name):
         path = tmp_path / "input.json"

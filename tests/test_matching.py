@@ -6,31 +6,49 @@ import pytest
 
 import ddaestruct as ds
 from conftest import G, chain_document, random_structure
+from ddaestruct.matching import _try_augment
+
+
+def try_augment(g, m, i, matchable):
+    """One augmenting search from i on copies of m's maps.
+
+    Returns whether a path was found, the equation -> group map after the
+    search, and the equations the search reached.
+    """
+    eq2group = dict(m.pairs)
+    group2eq = dict(m.inverse)
+    visited_eqs: set[int] = set()
+    ok = _try_augment(g, eq2group, group2eq, i, matchable, visited_eqs, set())
+    return ok, eq2group, visited_eqs
 
 
 class TestAugmentPath:
     def test_exposed_equation_fails_with_reach(self, graph3):
         m = ds.Matching({1: G(1, 0), 2: G(2, 0)})
-        ok, m2, report = ds.augment_path(
+        ok, pairs, reached = try_augment(
             graph3, m, 3, ds.highest_shift_groups(graph3)
         )
         assert not ok
-        assert m2.pairs == m.pairs
-        assert report.reached_eqs == {1, 2}
+        assert pairs == m.pairs
+        assert reached == {1, 2}
+        assert ds.alternating_reach(graph3, m, 3).reached_eqs == {1, 2}
 
     def test_first_assignment_succeeds(self, graph3):
-        ok, m2, report = ds.augment_path(
+        ok, pairs, _ = try_augment(
             graph3, ds.Matching(), 1, ds.highest_shift_groups(graph3)
         )
         assert ok
-        assert m2.pairs == {1: G(1, 0)}
-        assert report is None
+        assert pairs == {1: G(1, 0)}
 
     def test_isolated_node(self):
         g = ds.ShiftingGraph([1], (), ())
-        ok, m2, report = ds.augment_path(g, ds.Matching(), 1, frozenset())
+        ok, _, reached = try_augment(g, ds.Matching(), 1, frozenset())
         assert not ok
-        assert report.reached_eqs == frozenset()
+        assert reached == frozenset()
+        m, reports = ds.compute_matching(g)
+        assert len(m) == 0
+        assert [r.exposed for r in reports] == [1]
+        assert reports[0].reached_eqs == frozenset()
 
     def test_rerouting_through_matched_group(self):
         # two equations share the only free path; the second must displace
@@ -42,9 +60,9 @@ class TestAugmentPath:
         )
         matchable = ds.highest_shift_groups(g)
         m = ds.Matching({1: G(1, 0)})
-        ok, m2, _ = ds.augment_path(g, m, 2, matchable)
+        ok, pairs, _ = try_augment(g, m, 2, matchable)
         assert ok
-        assert m2.pairs == {1: G(2, 0), 2: G(1, 0)}
+        assert pairs == {1: G(2, 0), 2: G(1, 0)}
 
 
 class TestComputeMatching:
@@ -81,9 +99,10 @@ class TestComputeMatching:
             matchable = ds.highest_shift_groups(g)
             m, reports = ds.compute_matching(g)
             for r in reports:
-                ok, m2, _ = ds.augment_path(g, m, r.exposed, matchable)
+                ok, pairs, reached = try_augment(g, m, r.exposed, matchable)
                 assert not ok
-                assert m2.pairs == m.pairs
+                assert pairs == m.pairs
+                assert reached == r.reached_eqs
 
     def test_augmenting_path_longer_than_the_recursion_limit(self):
         n = 3001
