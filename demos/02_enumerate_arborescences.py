@@ -20,16 +20,18 @@ def main() -> None:
     )
     print(f"digraph: {len(g.nodes)} nodes, {len(g.arcs)} arcs, root 'r'")
 
-    # Streaming: the visitor sees each tree once; nothing is accumulated
-    # unless the visitor does it.
+    # Streaming: the visitor sees each tree once, as the live array of its
+    # nodes' in-arc indices; nothing is accumulated unless the visitor
+    # does it.  run.arborescence(parent) turns the array into a tree.
     print("\nall spanning arborescences:")
+    run = ds.GrowRun(g, "r")
     trees = []
 
-    def show(t: ds.Arborescence) -> None:
-        trees.append(t)
-        print(f"  {len(trees):2d}. {t.sorted_arcs()}")
+    def show(parent: list[int]) -> None:
+        trees.append(run.arborescence(parent))
+        print(f"  {len(trees):2d}. {trees[-1].sorted_arcs()}")
 
-    count = ds.enumerate_arborescences(g, "r", visitor=show)
+    count = run.execute(visitor=show)
 
     # Oracle 1: exhaust all (|V|-1)-subsets of arcs.
     brute = ds.brute_force_arborescences(g, "r")
@@ -47,24 +49,13 @@ def main() -> None:
 
     # Count-only mode: no visitor, no per-tree objects, memory stays at
     # arc scale however many trees there are.
-    print(f"count-only mode: {ds.enumerate_arborescences(g, 'r')}")
+    print(f"count-only mode: {ds.GrowRun(g, 'r').execute()}")
 
     # A run can be cut off cleanly; the working graph is restored either way.
-    run = ds.GrowRun(g, "r")
-    emitted = run.execute(limit=2)
-    print(f"limited run: emitted {emitted}, stop reason {run.stopped!r}, "
-          f"graph restored: {run.working_arcs() == g.arcs}")
-
-    # The primitive behind the enumerator's pruning, asked directly: with
-    # ('r','a') deleted, does any remaining arc enter 'a' from a
-    # nondescendant of 'a' in a given tree?  ('b','a') and ('c','a') do,
-    # so the arc is replaceable there, not a bridge.
-    last = trees[-1]
-    working = ds.Digraph(g.nodes, set(g.arcs) - {("r", "a")})
-    print(f"is ('r','a') a bridge given the last tree? "
-          f"{ds.is_bridge(working, ('r', 'a'), last)}")
-    print(f"descendants of 'b' in the last tree: "
-          f"{sorted(ds.descendants(last, 'b'))}")
+    limited = ds.GrowRun(g, "r")
+    emitted = limited.execute(limit=2)
+    print(f"limited run: emitted {emitted}, stop reason {limited.stopped!r}, "
+          f"graph restored: {limited.working_arcs() == g.arcs}")
 
 
 if __name__ == "__main__":

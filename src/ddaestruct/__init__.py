@@ -12,12 +12,7 @@ from .arborescence import (
     Arborescence,
     Digraph,
     GrowRun,
-    brute_force_arborescences,
     count_arborescences,
-    descendants,
-    enumerate_arborescences,
-    is_bridge,
-    validate_arborescence,
 )
 from .bench import (
     BenchRecord,
@@ -34,12 +29,8 @@ from .connections import (
     Connection,
     ConnectionReport,
     ConnectionSearch,
-    classify_connection,
     collect_connections,
     find_all_connections,
-    shared_occurrences,
-    tree_to_connection,
-    verify_connection,
 )
 from .errors import (
     ArcNotInGraph,
@@ -68,6 +59,14 @@ from .matching import (
     ReachReport,
     alternating_reach,
     compute_matching,
+)
+from .oracles import (
+    brute_force_arborescences,
+    classify_connection,
+    shared_occurrences,
+    tree_to_connection,
+    validate_arborescence,
+    verify_connection,
 )
 from .structure import (
     DdaeStructure,
@@ -121,12 +120,9 @@ __all__ = [
     "collect_connections",
     "compute_matching",
     "count_arborescences",
-    "descendants",
-    "enumerate_arborescences",
     "find_all_connections",
     "generate_scenario",
     "highest_shift_groups",
-    "is_bridge",
     "naive_all_connections",
     "parse_ddae",
     "run_bench",

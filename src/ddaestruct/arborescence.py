@@ -55,19 +55,19 @@ visitor sees each tree as the live array of its nodes' in-arc indices,
 and whatever it keeps it builds itself (`GrowRun.arborescence` turns the
 array into an `Arborescence`).
 
-Two independent oracles are provided for verification: exhaustive search
-over arc subsets, and the in-degree Laplacian minor determinant evaluated
-in exact integer arithmetic.
+`count_arborescences` counts the trees without enumerating them, as the
+in-degree Laplacian minor determinant evaluated in exact integer
+arithmetic.  The exhaustive oracle and the invariant checker are in
+`oracles`.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import CapExceeded, RootNotInGraph
+from .errors import RootNotInGraph
 
 
 class Digraph:
@@ -82,16 +82,6 @@ class Digraph:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"arc ({u}, {v}) has an endpoint outside the node set")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph)
-            and self.nodes == other.nodes
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self):
-        return hash((self.nodes, self.arcs))
-
 
 @dataclass(frozen=True)
 class Arborescence:
@@ -102,78 +92,6 @@ class Arborescence:
 
     def sorted_arcs(self) -> list[tuple]:
         return sorted(self.arcs)
-
-
-def validate_arborescence(t: Arborescence, g: Digraph) -> list[str]:
-    """Check the arborescence invariants of t against its host graph g.
-
-    Returns one message per violation; empty means t is a spanning
-    arborescence of g rooted at t.root.
-    """
-    problems = []
-    if t.root not in g.nodes:
-        problems.append(f"root {t.root} not in graph")
-        return problems
-    if not t.arcs <= g.arcs:
-        problems.append(f"arcs {sorted(t.arcs - g.arcs)} not in graph")
-    if len(t.arcs) != len(g.nodes) - 1:
-        problems.append(f"{len(t.arcs)} arcs for {len(g.nodes)} nodes")
-    heads = [v for _, v in t.arcs]
-    if len(set(heads)) != len(heads):
-        problems.append("some node has two incoming arcs")
-    if t.root in heads:
-        problems.append("root has an incoming arc")
-    children: dict = {}
-    for u, v in t.arcs:
-        children.setdefault(u, []).append(v)
-    seen = {t.root}
-    stack = [t.root]
-    while stack:
-        x = stack.pop()
-        for y in children.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if seen != g.nodes:
-        problems.append(f"nodes {sorted(g.nodes - seen)} unreachable from root")
-    return problems
-
-
-def descendants(tree: Arborescence, v) -> frozenset:
-    """Nodes reachable from v (v included) using only arcs of the tree."""
-    children: dict = {}
-    nodes = {tree.root}
-    for a, b in tree.arcs:
-        children.setdefault(a, []).append(b)
-        nodes.add(a)
-        nodes.add(b)
-    if v not in nodes:
-        raise ValueError(f"{v} is not a node of the tree")
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in children.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
-
-
-def is_bridge(g: Digraph, e: tuple, last_tree: Arborescence) -> bool:
-    """Decide whether e = (u, v) was a bridge when it was deleted.
-
-    g is the working graph with e (and all previously processed arcs)
-    already removed; last_tree is the most recently emitted tree.  e was a
-    bridge iff no remaining arc enters v from a nondescendant of v in
-    last_tree.  Sound only under the enumerator's depth-first growth order.
-    """
-    _, v = e
-    desc = descendants(last_tree, v)
-    for u2, v2 in g.arcs:
-        if v2 == v and (u2, v2) != e and u2 not in desc:
-            return False
-    return True
 
 
 class GrowRun:
@@ -191,7 +109,6 @@ class GrowRun:
     def __init__(self, g: Digraph, root):
         if root not in g.nodes:
             raise RootNotInGraph(f"root {root!r} not in graph")
-        self.graph = g
         self.root = root
         self.node_ids = sorted(g.nodes)
         self._idx = {x: i for i, x in enumerate(self.node_ids)}
@@ -478,43 +395,6 @@ def _padded_stack(capacity: int) -> list[int]:
     stack = [-1] * (2 * pad)
     del stack[pad:]
     return stack
-
-
-def enumerate_arborescences(
-    g: Digraph,
-    root,
-    visitor: Callable[[Arborescence], None] | None = None,
-    limit: int | None = None,
-) -> int:
-    """Stream every spanning arborescence of g rooted at root to the visitor.
-
-    Returns the number of trees found (or emitted before `limit` struck).
-    The input graph is never modified.
-    """
-    run = GrowRun(g, root)
-    on_tree = None
-    if visitor is not None:
-        def on_tree(parent: list[int]) -> None:
-            visitor(run.arborescence(parent))
-    return run.execute(visitor=on_tree, limit=limit)
-
-
-def brute_force_arborescences(g: Digraph, root, cap: int = 8) -> set[Arborescence]:
-    """Independent oracle: test every (|V|-1)-subset of the arc set.
-
-    Only feasible for small graphs, hence the node-count cap.
-    """
-    if root not in g.nodes:
-        raise RootNotInGraph(f"root {root!r} not in graph")
-    if len(g.nodes) > cap:
-        raise CapExceeded(f"{len(g.nodes)} nodes exceeds cap {cap}")
-    n = len(g.nodes)
-    found = set()
-    for sub in itertools.combinations(sorted(g.arcs), n - 1):
-        t = Arborescence(root, frozenset(sub))
-        if not validate_arborescence(t, g):
-            found.add(t)
-    return found
 
 
 def count_arborescences(g: Digraph, root) -> int:

@@ -21,10 +21,11 @@ import csv
 import time
 from dataclasses import dataclass
 
-from .connections import Connection, ConnectionSearch, verify_connection
+from .connections import Connection, ConnectionSearch
 from .errors import BadSize, LimitExceeded
 from .graphs import ShiftingGraph, VariableGroup
 from .matching import Matching, alternating_reach
+from .oracles import verify_connection
 
 KINDS = ("banded", "triangular", "complete")
 METHODS = ("grow", "naive")

@@ -13,17 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from .arborescence import (
-    Digraph,
-    GrowRun,
-    brute_force_arborescences,
-    count_arborescences,
-)
+from .arborescence import Digraph, GrowRun, count_arborescences
 from .bench import KINDS, run_bench, write_csv
 from .connections import EXPLICIT, IMPLICIT, ConnectionSearch
-from .errors import DdaeStructError, LimitExceeded, NotExposed
+from .errors import DdaeStructError, LimitExceeded, NotExposed, RootNotInGraph
 from .graphs import build_ddae_graph, build_shifting_graph
 from .matching import compute_matching
+from .oracles import brute_force_arborescences
 from .structure import parse_ddae
 
 EXIT_OK = 0
@@ -47,15 +43,29 @@ def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
         raise DdaeStructError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "nodes" not in raw or "arcs" not in raw:
         raise DdaeStructError(f"{path}: digraph JSON needs 'nodes' and 'arcs'")
+    nodes, arcs = raw["nodes"], raw["arcs"]
+    if not isinstance(nodes, list) or not isinstance(arcs, list):
+        raise DdaeStructError(f"{path}: 'nodes' and 'arcs' must be lists")
     try:
-        g = Digraph(raw["nodes"], (tuple(a) for a in raw["arcs"]))
+        arcs = [tuple(a) for a in arcs]
+        g = Digraph(nodes, arcs)
     except (TypeError, ValueError) as exc:
         raise DdaeStructError(f"{path}: bad digraph: {exc}") from exc
+    if len(g.nodes) != len(nodes):
+        raise DdaeStructError(f"{path}: 'nodes' lists an id twice")
+    # JSON true and 1.0 hash and compare equal to the node 1, so an id is
+    # looked up together with its type
+    ids = {(type(x), x) for x in nodes}
+    for u, v in arcs:
+        if (type(u), u) not in ids or (type(v), v) not in ids:
+            raise DdaeStructError(
+                f"{path}: arc {json.dumps([u, v])} has an endpoint that is not a node id"
+            )
     root = root_arg if root_arg is not None else raw.get("root")
     if root is None:
         raise DdaeStructError("no root: pass --root or put 'root' in the file")
-    if isinstance(root, (list, dict)):
-        raise DdaeStructError(f"{path}: root must be a node id, not {json.dumps(root)}")
+    if isinstance(root, (list, dict)) or (type(root), root) not in ids:
+        raise RootNotInGraph(f"root {root!r} not in graph")
     return g, root
 
 

@@ -2,36 +2,39 @@
 
 Every alternating-path triple (F_i, group, F_l) with the first edge outside
 the matching and the second edge inside it is condensed to a directed arc
-i -> l between equation nodes; the group is recoverable from the head (it
-is the head's matched group) and is stored as the arc weight.  The node set
-is the exposed equation plus its alternating-path reach, nothing more.
+i -> l between equation nodes.  The group is not stored per arc: it is the
+head's matched group, so an arc's weight is read from the matching.  The
+node set is the exposed equation plus its alternating-path reach, nothing
+more, and the graph is the `Digraph` the enumerator runs on.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Mapping
 
+from .arborescence import Digraph
 from .errors import InconsistentReport
 from .graphs import ShiftingGraph, VariableGroup
 from .matching import Matching, ReachReport
 
 
-class ConnectionGraph:
-    """Digraph on C u {exposed} whose arcs carry the connecting group."""
+class ConnectionGraph(Digraph):
+    """Digraph on C u {exposed} whose arcs carry the connecting group.
 
-    def __init__(self, nodes, root: int, arcs, weights: dict[tuple[int, int], VariableGroup]):
-        self.nodes: frozenset[int] = frozenset(nodes)
-        self.root: int = root
-        self.arcs: frozenset[tuple[int, int]] = frozenset(arcs)
-        self.weights: dict[tuple[int, int], VariableGroup] = dict(weights)
-        if self.root not in self.nodes:
+    `matched` maps each equation to its matched group (a matching's
+    `pairs`); the weight of arc (i, l) is `matched[l]`.
+    """
+
+    def __init__(self, nodes, root: int, arcs, matched: Mapping[int, VariableGroup]):
+        super().__init__(nodes, arcs)
+        if root not in self.nodes:
             raise ValueError(f"root {root} not among nodes")
-        for a in self.arcs:
-            if a not in self.weights:
-                raise ValueError(f"arc {a} has no weight")
+        self.root: int = root
+        self._matched = matched
 
     def weight(self, arc: tuple[int, int]) -> VariableGroup:
-        return self.weights[arc]
+        return self._matched[arc[1]]
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -72,13 +75,9 @@ def build_connection_graph(
 
     nodes = set(report.reached_eqs) | {j}
     arcs = set()
-    weights: dict[tuple[int, int], VariableGroup] = {}
     for l in report.reached_eqs:
-        v = m.group_of(l)
-        for i in g.eqs_of(v):
+        for i in g.eqs_of(m.group_of(l)):
             if i == l or i not in nodes:
                 continue
-            arc = (i, l)
-            arcs.add(arc)
-            weights[arc] = v
-    return ConnectionGraph(nodes, j, arcs, weights)
+            arcs.add((i, l))
+    return ConnectionGraph(nodes, j, arcs, m.pairs)

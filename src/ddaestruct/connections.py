@@ -1,4 +1,4 @@
-"""Finding, verifying and classifying all connections for an exposed equation.
+"""Finding and classifying all connections for an exposed equation.
 
 A connection is a set of alternating-path triples (from_eq, group, to_eq)
 that covers every equation reachable from the exposed node exactly once,
@@ -6,7 +6,8 @@ hangs together, and starts at the exposed node.  Connections correspond
 one-to-one to the spanning arborescences of the connection graph rooted at
 the exposed node, which is how they are enumerated here: build the
 connection graph, stream its arborescences, translate each tree arc back
-into a triple using the arc weight.
+into a triple using the arc weight.  The per-tree reference checks
+(`verify_connection`, `classify_connection`) live in `oracles`.
 
 A connection that exists group-wise may still fail to exist occurrence-wise
 (the linking variable appears in the two equations only at different
@@ -22,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .arborescence import Arborescence, Digraph, GrowRun
-from .connection_graph import ConnectionGraph, build_connection_graph
-from .errors import ArcNotInGraph
+from .arborescence import GrowRun
+from .connection_graph import build_connection_graph
 from .graphs import DdaeGraph, ShiftingGraph, VariableGroup
 from .matching import Matching, ReachReport, alternating_reach
 
@@ -61,17 +61,6 @@ class ConnectionReport:
             raise ValueError("connections and classes must have equal length")
 
 
-def tree_to_connection(t: Arborescence, h: ConnectionGraph) -> Connection:
-    """Translate a spanning arborescence of the connection graph into triples."""
-    triples = set()
-    for arc in t.arcs:
-        if arc not in h.arcs:
-            raise ArcNotInGraph(f"arc {arc} not in connection graph")
-        i, l = arc
-        triples.add((i, h.weight(arc), l))
-    return Connection(frozenset(triples))
-
-
 class ConnectionSearch:
     """The stages from an exposed equation to its stream of trees, composed once.
 
@@ -96,7 +85,7 @@ class ConnectionSearch:
         if reach is None:
             reach = alternating_reach(g, m, j)
         h = build_connection_graph(g, m, reach)
-        self.run = GrowRun(Digraph(h.nodes, h.arcs), j)
+        self.run = GrowRun(h, j)
         self.triples: list[Triple] = [(i, h.weight((i, l)), l) for i, l in self.run.arcs]
         self.implicit: frozenset[int] | None = None
         if gd is not None:
@@ -147,81 +136,6 @@ def find_all_connections(
         def on_tree(parent: list[int]) -> None:
             visitor(search.connection(parent))
     return search.run.execute(visitor=on_tree, limit=limit)
-
-
-def verify_connection(
-    c: Connection,
-    g: ShiftingGraph,
-    m: Matching,
-    j: int,
-    reach: ReachReport,
-) -> bool:
-    """Check the defining properties of a connection directly on the triples.
-
-    Independent of the arborescence machinery on purpose: every triple must
-    be a genuine alternating path (non-matching edge into the group, the
-    group's matching edge out), the covered equations must be exactly the
-    reach with no repeats, at least one triple must start at j, and the
-    triples must hang together without cycles.
-    """
-    nodes = set(reach.reached_eqs) | {j}
-    for i, v, l in c.triples:
-        if (i, v) not in g.edges:
-            return False
-        if m.group_of(i) == v:
-            return False  # first edge must not be a matching edge
-        if m.inverse.get(v) != l:
-            return False  # second edge must be l's matching edge
-        if i not in nodes:
-            return False
-    covered = [l for _, _, l in c.triples]
-    if len(set(covered)) != len(covered):
-        return False
-    if set(covered) != set(reach.reached_eqs):
-        return False
-    if reach.reached_eqs and not any(i == j for i, _, _ in c.triples):
-        return False
-    # connectivity: |C| links on |C|+1 nodes form a tree iff they hang
-    # together, which also rules out cycles
-    links: dict[int, list[int]] = {x: [] for x in nodes}
-    for i, _, l in c.triples:
-        links[i].append(l)
-        links[l].append(i)
-    seen = {j}
-    stack = [j]
-    while stack:
-        x = stack.pop()
-        for y in links[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == nodes
-
-
-def shared_occurrences(
-    triple: Triple, gd: DdaeGraph
-) -> tuple:
-    """Concrete occurrences of the triple's group adjacent to both equations."""
-    i, v, l = triple
-    common = [
-        o
-        for o in sorted(gd.occurrences_of(i) & gd.occurrences_of(l))
-        if o.var_index == v.var_index and o.shift == v.shift
-    ]
-    return tuple(common)
-
-
-def classify_connection(c: Connection, gd: DdaeGraph) -> str:
-    """EXPLICIT iff every triple is witnessed by a shared concrete occurrence.
-
-    A triple (i, (k, p), l) is witnessed when some occurrence (k, p, q) is
-    adjacent to both equations in the occurrence graph; otherwise the link
-    exists only through the group and the connection is IMPLICIT.
-    """
-    for triple in c.triples:
-        if not shared_occurrences(triple, gd):
-            return IMPLICIT
-    return EXPLICIT
 
 
 def collect_connections(

@@ -72,9 +72,6 @@ class ShiftingGraph:
     def eqs_of(self, v: VariableGroup) -> tuple[int, ...]:
         return self._eqs_of[v]
 
-    def has_edge(self, i: int, v: VariableGroup) -> bool:
-        return (i, v) in self.edges
-
 
 class DdaeGraph:
     """Bipartite graph between equation ids and concrete occurrences."""

@@ -82,6 +82,14 @@ def matched4(graph4):
     return ds.compute_matching(graph4)
 
 
+def collect_trees(g, root, limit=None):
+    """Enumerate g from root; the count and every emitted tree, in order."""
+    run = ds.GrowRun(g, root)
+    trees = []
+    n = run.execute(lambda parent: trees.append(run.arborescence(parent)), limit=limit)
+    return n, trees
+
+
 def random_digraph(rng: random.Random, max_nodes: int = 6, max_arcs: int = 14):
     """A random digraph plus a random root, sizes within the oracle range."""
     n = rng.randint(1, max_nodes)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ddaestruct as ds
-from conftest import G, random_digraph
+from conftest import G, collect_trees, random_digraph
 from ddaestruct.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -133,8 +133,7 @@ def test_criterion_5_oracle_equivalence():
     set and the count equals the determinant, in under 30 s."""
     t0 = time.perf_counter()
     for g, root in random_suite():
-        trees = []
-        n = ds.enumerate_arborescences(g, root, visitor=trees.append)
+        n, trees = collect_trees(g, root)
         arc_sets = {t.arcs for t in trees}
         assert len(arc_sets) == n
         assert arc_sets == {t.arcs for t in ds.brute_force_arborescences(g, root)}
@@ -170,13 +169,15 @@ def test_criterion_6_arborescence_invariants():
 
     for g, root in runs:
         seen = set()
+        run = ds.GrowRun(g, root)
 
-        def check(t, g=g, seen=seen):
+        def check(parent, g=g, seen=seen, run=run):
+            t = run.arborescence(parent)
             assert ds.validate_arborescence(t, g) == []
             assert t.arcs not in seen
             seen.add(t.arcs)
 
-        n = ds.enumerate_arborescences(g, root, visitor=check)
+        n = run.execute(check)
         assert n == len(seen)
     print(f"\n[acceptance] criterion 6 (invariants over {len(runs)} runs): PASS")
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import ddaestruct as ds
-from conftest import random_digraph
+from conftest import collect_trees, random_digraph
 
 # connection graphs of the two worked examples
 H3 = ds.Digraph([1, 2, 3], [(2, 1), (3, 1), (3, 2)])
@@ -31,12 +31,6 @@ H4_TREES = {
 }
 
 
-def collect(g, root, **kw):
-    trees = []
-    n = ds.enumerate_arborescences(g, root, visitor=trees.append, **kw)
-    return n, trees
-
-
 class TestDigraph:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -48,7 +42,7 @@ class TestDigraph:
 
     def test_root_must_exist(self):
         with pytest.raises(ds.RootNotInGraph):
-            ds.enumerate_arborescences(ds.Digraph([1], []), 2)
+            ds.GrowRun(ds.Digraph([1], []), 2)
         with pytest.raises(ds.RootNotInGraph):
             ds.count_arborescences(ds.Digraph([1], []), 2)
         with pytest.raises(ds.RootNotInGraph):
@@ -107,17 +101,17 @@ class TestDeterminantOracle:
 
 class TestGrowEnumeration:
     def test_three_equation_connection_graph(self):
-        n, trees = collect(H3, 3)
+        n, trees = collect_trees(H3, 3)
         assert n == 2
         assert {t.arcs for t in trees} == H3_TREES
 
     def test_four_equation_connection_graph(self):
-        n, trees = collect(H4, 4)
+        n, trees = collect_trees(H4, 4)
         assert n == 8
         assert {t.arcs for t in trees} == H4_TREES
 
     def test_single_node(self):
-        n, trees = collect(ds.Digraph(["r"], []), "r")
+        n, trees = collect_trees(ds.Digraph(["r"], []), "r")
         assert n == 1
         assert trees[0] == ds.Arborescence("r", frozenset())
 
@@ -126,7 +120,7 @@ class TestGrowEnumeration:
             ["r", "a", "b"],
             [("r", "a"), ("r", "b"), ("a", "b"), ("b", "a"), ("a", "r"), ("b", "r")],
         )
-        n, trees = collect(g, "r")
+        n, trees = collect_trees(g, "r")
         assert n == 3
         assert {t.arcs for t in trees} == {
             t.arcs for t in ds.brute_force_arborescences(g, "r")
@@ -134,18 +128,18 @@ class TestGrowEnumeration:
 
     def test_unreachable_node_means_no_trees(self):
         g = ds.Digraph([1, 2, 3], [(1, 2)])
-        n, trees = collect(g, 1)
+        n, trees = collect_trees(g, 1)
         assert n == 0
         assert trees == []
 
     def test_count_only_mode_matches_visitor_mode(self):
-        n_plain = ds.enumerate_arborescences(H4, 4)
-        n_visited, _ = collect(H4, 4)
+        n_plain = ds.GrowRun(H4, 4).execute()
+        n_visited, _ = collect_trees(H4, 4)
         assert n_plain == n_visited == 8
 
     def test_input_graph_object_untouched(self):
         arcs_before = set(H4.arcs)
-        ds.enumerate_arborescences(H4, 4)
+        ds.GrowRun(H4, 4).execute()
         assert set(H4.arcs) == arcs_before
 
 
@@ -255,43 +249,7 @@ class TestLimitsAndRestoration:
             assert run.working_arcs() == g.arcs
 
 
-class TestDescendants:
-    def test_walkthrough_tree(self):
-        tree = ds.Arborescence(3, frozenset({(3, 2), (2, 1)}))
-        assert ds.descendants(tree, 2) == {2, 1}
-
-    def test_leaf(self):
-        tree = ds.Arborescence(3, frozenset({(3, 2), (2, 1)}))
-        assert ds.descendants(tree, 1) == {1}
-
-    def test_root_reaches_everything(self):
-        tree = ds.Arborescence(3, frozenset({(3, 2), (2, 1)}))
-        assert ds.descendants(tree, 3) == {1, 2, 3}
-
-    def test_unknown_node(self):
-        tree = ds.Arborescence(1, frozenset())
-        with pytest.raises(ValueError):
-            ds.descendants(tree, 9)
-
-
 class TestBridgeTest:
-    # the states below replay the enumeration of H3 from root 3
-    def test_last_arc_into_node_is_a_bridge(self):
-        first_tree = ds.Arborescence(3, frozenset({(3, 1), (3, 2)}))
-        working = ds.Digraph([1, 2, 3], [(2, 1), (3, 1)])  # (3,2) deleted
-        assert ds.is_bridge(working, (3, 2), first_tree)
-
-    def test_alternative_entry_refutes_the_bridge(self):
-        first_tree = ds.Arborescence(3, frozenset({(3, 1), (3, 2)}))
-        working = ds.Digraph([1, 2, 3], [(2, 1), (3, 2)])  # (3,1) deleted
-        # (2,1) remains and 2 is a nondescendant of 1 in the last tree
-        assert not ds.is_bridge(working, (3, 1), first_tree)
-
-    def test_single_incoming_arc(self):
-        tree = ds.Arborescence(1, frozenset({(1, 2)}))
-        working = ds.Digraph([1, 2], [])
-        assert ds.is_bridge(working, (1, 2), tree)
-
     def test_bridges_hold_for_all_completions(self):
         # white box: whenever the run declares a bridge, every spanning tree
         # of the working graph plus the arc that extends the current subtree
@@ -320,7 +278,7 @@ class TestAgainstOracles:
         rng = random.Random(987654)
         for _ in range(200):
             g, root = random_digraph(rng)
-            n, trees = collect(g, root)
+            n, trees = collect_trees(g, root)
             assert n == len(trees)
             arc_sets = {t.arcs for t in trees}
             assert len(arc_sets) == n  # no duplicates

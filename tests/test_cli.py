@@ -170,9 +170,9 @@ def per_tree_stream(text: str, exposed: int, classify: bool, fmt: str, limit):
             body = "; ".join(parts) if parts else "(empty: nothing to reach)"
             lines.append(f"connection{tag}: {body}\n")
 
-    d = ds.Digraph(h.nodes, h.arcs)
-    ds.enumerate_arborescences(d, exposed, on_tree, limit)
-    return "".join(lines), ds.count_arborescences(d, exposed)
+    run = ds.GrowRun(h, exposed)
+    run.execute(lambda parent: on_tree(run.arborescence(parent)), limit=limit)
+    return "".join(lines), ds.count_arborescences(h, exposed)
 
 
 class TestConnectionStreamParity:
@@ -252,13 +252,19 @@ class TestArborescences:
         assert "root" in err
 
 
-# inputs that once escaped as a traceback instead of an input error
+# inputs that once escaped as a traceback, or were taken as valid, instead
+# of giving an input error
 UNREADABLE = {
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
     "integer-of-5000-digits": b'{"n_equations": ' + b"9" * 5000 + b"}",
     "not-utf8": b'{"n_equations": 1, "label": "\xff"}',
     "root-is-array": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": [1]}',
     "root-is-object": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": {"id": 1}}',
+    # JSON true and 1.0 hash and compare equal to the node 1, yet are no node id
+    "root-is-true": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": true}',
+    "root-is-float": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": 1.0}',
+    "arc-endpoint-is-true": b'{"nodes": [1, 2], "arcs": [[true, 2]], "root": 1}',
+    "node-listed-as-true": b'{"nodes": [1, true, 2], "arcs": [[1, 2]], "root": 1}',
 }
 
 

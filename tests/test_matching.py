@@ -124,7 +124,7 @@ class TestComputeMatching:
             assert len(groups) == len(set(groups))  # injective
             for i, v in m.pairs.items():
                 assert v in matchable
-                assert g.has_edge(i, v)
+                assert (i, v) in g.edges
 
 
 class TestAlternatingReach:

@@ -1,4 +1,4 @@
-"""Property tests of the arborescence stream on generated digraphs.
+"""Property tests of the arborescence stream and the matching on generated graphs.
 
 The examples are derived from a fixed seed and no example database is
 kept, so every run checks the same graphs (conftest.py keeps the rest of
@@ -46,3 +46,64 @@ def test_working_graph_restored_under_any_limit(graph, limit):
     assert run.execute(limit=limit) == min(limit, total)
     assert (run.stopped == "limit") == (limit < total)
     assert run.working_arcs() == g.arcs
+
+
+@st.composite
+def shifting_graphs(draw, max_eqs: int = 6, max_vars: int = 4):
+    n_eq = draw(st.integers(1, max_eqs))
+    n_var = draw(st.integers(1, max_vars))
+    occurrence = st.builds(
+        ds.VarOccurrence, st.integers(1, n_var), st.integers(-1, 2), st.integers(0, 1)
+    )
+    equations = tuple(
+        ds.EquationStruct(i, tuple(sorted(draw(st.sets(occurrence, max_size=4)))))
+        for i in range(1, n_eq + 1)
+    )
+    return ds.build_shifting_graph(ds.DdaeStructure(n_eq, n_var, equations))
+
+
+def maximum_matching_size(g) -> int:
+    """Largest matching over the edges to highest-shift groups, by exhaustion."""
+    matchable = ds.highest_shift_groups(g)
+    options = [[v for v in g.groups_of(i) if v in matchable] for i in g.eq_nodes]
+
+    def best(k: int, used: frozenset) -> int:
+        if k == len(options):
+            return 0
+        return max(
+            [best(k + 1, used)]
+            + [1 + best(k + 1, used | {v}) for v in options[k] if v not in used]
+        )
+
+    return best(0, frozenset())
+
+
+def has_augmenting_path(g, m, j) -> bool:
+    """Whether an alternating path from the unmatched equation j ends at a free
+    highest-shift group."""
+    matchable = ds.highest_shift_groups(g)
+    seen = {j}
+    stack = [j]
+    while stack:
+        i = stack.pop()
+        for v in g.groups_of(i):
+            if v not in matchable or v == m.group_of(i):
+                continue
+            k = m.inverse.get(v)
+            if k is None:
+                return True
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return False
+
+
+@FIXED
+@given(shifting_graphs())
+def test_matching_is_maximum(g):
+    m, reports = ds.compute_matching(g)
+    assert len(m) == maximum_matching_size(g)
+    exposed = [i for i in g.eq_nodes if not m.is_matched(i)]
+    assert [r.exposed for r in reports] == exposed
+    for j in exposed:
+        assert not has_augmenting_path(g, m, j)
