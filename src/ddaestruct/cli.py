@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
+_DIGRAPH_KEYS = {"nodes", "arcs", "root"}
+
 
 def _read_text(path: str) -> str:
     try:
@@ -43,6 +45,9 @@ def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
         raise DdaeStructError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "nodes" not in raw or "arcs" not in raw:
         raise DdaeStructError(f"{path}: digraph JSON needs 'nodes' and 'arcs'")
+    unknown = set(raw) - _DIGRAPH_KEYS
+    if unknown:
+        raise DdaeStructError(f"{path}: unknown digraph fields: {sorted(unknown)}")
     nodes, arcs = raw["nodes"], raw["arcs"]
     if not isinstance(nodes, list) or not isinstance(arcs, list):
         raise DdaeStructError(f"{path}: 'nodes' and 'arcs' must be lists")
@@ -61,6 +66,14 @@ def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
             raise DdaeStructError(
                 f"{path}: arc {json.dumps([u, v])} has an endpoint that is not a node id"
             )
+    if len(g.arcs) != len(arcs):
+        # every endpoint is a node id of its own type now, so arcs that
+        # Digraph merged are the same arc listed twice
+        seen = set()
+        for arc in arcs:
+            if arc in seen:
+                raise DdaeStructError(f"{path}: arc {json.dumps(list(arc))} listed twice")
+            seen.add(arc)
     root = root_arg if root_arg is not None else raw.get("root")
     if root is None:
         raise DdaeStructError("no root: pass --root or put 'root' in the file")

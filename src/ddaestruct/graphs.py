@@ -13,6 +13,8 @@ first view but not in the second; both are therefore needed downstream.
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .structure import DdaeStructure, VarOccurrence
@@ -31,37 +33,55 @@ class VariableGroup(NamedTuple):
 class ShiftingGraph:
     """Bipartite graph between equation ids and variable groups.
 
-    Adjacency is precomputed in ascending (var_index, shift) order so that
-    every traversal in the package is deterministic.
+    The state is the adjacency, precomputed in ascending (var_index, shift)
+    order so that every traversal in the package is deterministic.  The
+    edge set is built from it on first read.
     """
 
     def __init__(self, eq_nodes, group_nodes, edges):
-        self.eq_nodes: tuple[int, ...] = tuple(eq_nodes)
-        self.group_nodes: frozenset[VariableGroup] = frozenset(group_nodes)
-        self.edges: frozenset[tuple[int, VariableGroup]] = frozenset(edges)
-        groups = self.group_nodes
-        by_eq: dict[int, list[VariableGroup]] = {i: [] for i in self.eq_nodes}
-        by_group: dict[VariableGroup, list[int]] = {}
-        for i, v in self.edges:
+        eq_nodes = tuple(eq_nodes)
+        groups = frozenset(group_nodes)
+        edges = frozenset(edges)
+        by_eq: dict[int, list[VariableGroup]] = {i: [] for i in eq_nodes}
+        for i, v in edges:
             vs = by_eq.get(i)
             if vs is None or v not in groups:
                 raise ValueError(f"edge ({i}, {v}) has an endpoint outside the node sets")
             vs.append(v)
-            eqs = by_group.get(v)
-            if eqs is None:
-                by_group[v] = [i]
-            else:
-                eqs.append(i)
-        if len(by_group) != len(groups):
+        self._adopt(eq_nodes, {i: tuple(sorted(vs)) for i, vs in by_eq.items()})
+        if len(self.group_nodes) != len(groups):
             # isolated equation nodes are legitimate, isolated groups are not
-            untouched = groups.difference(by_group)
+            untouched = groups.difference(self.group_nodes)
             raise ValueError(f"group nodes without any edge: {sorted(untouched)}")
-        self._groups_of: dict[int, tuple[VariableGroup, ...]] = {
-            i: tuple(sorted(vs)) for i, vs in by_eq.items()
-        }
+        self.edges = edges
+
+    @classmethod
+    def _from_adjacency(cls, eq_nodes, groups_of) -> "ShiftingGraph":
+        g = cls.__new__(cls)
+        g._adopt(eq_nodes, groups_of)
+        return g
+
+    def _adopt(self, eq_nodes: tuple, groups_of: dict) -> None:
+        """Take per-equation group tuples, each sorted and free of repeats,
+        as the graph's state and derive the per-group equation tuples."""
+        self.eq_nodes: tuple[int, ...] = eq_nodes
+        self._groups_of: dict[int, tuple[VariableGroup, ...]] = groups_of
+        by_group: dict[VariableGroup, list[int]] = {}
+        for i in sorted(groups_of):
+            for v in groups_of[i]:
+                eqs = by_group.get(v)
+                if eqs is None:
+                    by_group[v] = [i]
+                else:
+                    eqs.append(i)
         self._eqs_of: dict[VariableGroup, tuple[int, ...]] = {
-            v: tuple(sorted(eqs)) for v, eqs in by_group.items()
+            v: tuple(eqs) for v, eqs in by_group.items()
         }
+        self.group_nodes: frozenset[VariableGroup] = frozenset(by_group)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, VariableGroup]]:
+        return frozenset([(i, v) for i, vs in self._groups_of.items() for v in vs])
 
     def has_equation(self, i: int) -> bool:
         return i in self._groups_of
@@ -74,37 +94,90 @@ class ShiftingGraph:
 
 
 class DdaeGraph:
-    """Bipartite graph between equation ids and concrete occurrences."""
+    """Bipartite graph between equation ids and concrete occurrences.
+
+    The state is the per-equation occurrences.  An equation's occurrence
+    set is made on the first read of it, and the edge and variable node
+    sets on theirs.
+    """
 
     def __init__(self, eq_nodes, var_nodes, edges):
-        self.eq_nodes: tuple[int, ...] = tuple(eq_nodes)
-        self.var_nodes: frozenset[VarOccurrence] = frozenset(var_nodes)
-        self.edges: frozenset[tuple[int, VarOccurrence]] = frozenset(edges)
-        by_eq: dict[int, list[VarOccurrence]] = {i: [] for i in self.eq_nodes}
-        for i, o in self.edges:
+        eq_nodes = tuple(eq_nodes)
+        edges = frozenset(edges)
+        by_eq: dict[int, list[VarOccurrence]] = {i: [] for i in eq_nodes}
+        for i, o in edges:
             by_eq[i].append(o)
+        self.eq_nodes: tuple[int, ...] = eq_nodes
         self._occs_of: dict[int, frozenset[VarOccurrence]] = {
             i: frozenset(occs) for i, occs in by_eq.items()
         }
+        self.var_nodes = frozenset(var_nodes)
+        self.edges = edges
+
+    @classmethod
+    def _from_adjacency(cls, eq_nodes, occs_of: dict) -> "DdaeGraph":
+        """occs_of: equation -> a collection of its occurrences, replaced by
+        their frozenset on the first `occurrences_of` for the equation."""
+        g = cls.__new__(cls)
+        g.eq_nodes = eq_nodes
+        g._occs_of = occs_of
+        return g
+
+    @cached_property
+    def var_nodes(self) -> frozenset[VarOccurrence]:
+        return frozenset().union(*self._occs_of.values())
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, VarOccurrence]]:
+        return frozenset([(i, o) for i, occs in self._occs_of.items() for o in occs])
 
     def occurrences_of(self, i: int) -> frozenset[VarOccurrence]:
-        return self._occs_of[i]
+        occs = self._occs_of[i]
+        if type(occs) is not frozenset:
+            occs = self._occs_of[i] = frozenset(occs)
+        return occs
+
+
+_GROUP_KEY = itemgetter(0, 1)  # (k, p) of an occurrence, as a plain tuple
+
+
+class _Groups(dict):
+    """(k, p) -> its VariableGroup, made on the first lookup of (k, p)."""
+
+    def __missing__(self, key: tuple[int, int]) -> VariableGroup:
+        v = self[key] = tuple.__new__(VariableGroup, key)
+        return v
 
 
 def build_shifting_graph(s: DdaeStructure) -> ShiftingGraph:
     """Collapse derivative orders: one group node per (k, p) that occurs."""
-    edges = {
-        (eq.eq_index, VariableGroup(k, p))
-        for eq in s.equations
-        for k, p, _ in eq.occurrences
-    }
-    return ShiftingGraph(range(1, s.n_equations + 1), {v for _, v in edges}, edges)
+    group = _Groups().__getitem__
+    groups_of = dict.fromkeys(range(1, s.n_equations + 1), ())
+    for eq in s.equations:
+        if not eq.occurrences:
+            continue
+        i = eq.eq_index
+        keys = set(map(_GROUP_KEY, eq.occurrences))
+        known = groups_of.get(i)
+        if known is None:
+            raise ValueError(
+                f"edge ({i}, {group(min(keys))}) has an endpoint outside the node sets"
+            )
+        if known:
+            keys.update(known)  # the equation is listed twice
+        groups_of[i] = tuple(map(group, sorted(keys)))
+    return ShiftingGraph._from_adjacency(tuple(range(1, s.n_equations + 1)), groups_of)
 
 
 def build_ddae_graph(s: DdaeStructure) -> DdaeGraph:
     """One variable node per distinct occurrence triple; edges mirror incidence."""
-    edges = {(eq.eq_index, o) for eq in s.equations for o in eq.occurrences}
-    return DdaeGraph(range(1, s.n_equations + 1), {o for _, o in edges}, edges)
+    occs_of: dict[int, tuple[VarOccurrence, ...]] = dict.fromkeys(
+        range(1, s.n_equations + 1), ()
+    )
+    for eq in s.equations:
+        if eq.occurrences:
+            occs_of[eq.eq_index] += eq.occurrences  # () + t is t itself
+    return DdaeGraph._from_adjacency(tuple(range(1, s.n_equations + 1)), occs_of)
 
 
 def highest_shift_groups(g: ShiftingGraph) -> frozenset[VariableGroup]:
@@ -113,11 +186,10 @@ def highest_shift_groups(g: ShiftingGraph) -> frozenset[VariableGroup]:
     A group (k, p) qualifies iff p >= 0 and no group (k, p') with p' > p
     exists anywhere in the graph; negatively shifted groups never qualify.
     """
-    top: dict[int, int] = {}
-    for k, p in g.group_nodes:
+    top: dict[int, VariableGroup] = {}  # variable -> its group of highest shift
+    for v in g.group_nodes:
+        k, p = v
         cur = top.get(k)
-        if cur is None or p > cur:
-            top[k] = p
-    return frozenset(
-        VariableGroup(k, p) for k, p in top.items() if p >= 0
-    )
+        if cur is None or p > cur[1]:
+            top[k] = v
+    return frozenset([v for v in top.values() if v[1] >= 0])

@@ -116,8 +116,16 @@ def compute_matching(g: ShiftingGraph) -> tuple[Matching, list[ReachReport]]:
     group2eq: dict[VariableGroup, int] = {}
     exposed: list[int] = []
     for i in g.eq_nodes:
-        if not _try_augment(g, eq2group, group2eq, i, matchable, set(), set()):
-            exposed.append(i)
+        # a free admissible group is taken at once, as the augmenting
+        # search's first pass would take it
+        for v in g.groups_of(i):
+            if v not in group2eq and v in matchable:
+                eq2group[i] = v
+                group2eq[v] = i
+                break
+        else:
+            if not _try_augment(g, eq2group, group2eq, i, matchable, set(), set()):
+                exposed.append(i)
     m = Matching(eq2group)
     reports = [alternating_reach(g, m, j) for j in exposed]
     return m, reports

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     DuplicateOccurrence,
@@ -78,6 +79,62 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+# VarOccurrence from a plain triple, without the Python-level __new__
+_new_occurrence = partial(tuple.__new__, VarOccurrence)
+
+
+def _equation_error(entry, n_eq: int, seen_indices: set) -> NoReturn:
+    """Raise the error of the first check that the equation entry fails."""
+    if not isinstance(entry, dict):
+        raise SchemaViolation("each equation must be an object")
+    unknown = set(entry) - _EQ_KEYS
+    if unknown:
+        raise SchemaViolation(f"unknown equation fields: {sorted(unknown)}")
+    if "index" not in entry or "occurrences" not in entry:
+        raise SchemaViolation("equation needs 'index' and 'occurrences'")
+    idx = _require_int(entry["index"], "equation index")
+    label = entry.get("label", f"F{idx}")
+    if not isinstance(label, str):
+        raise SchemaViolation(f"label must be a string, got {label!r}")
+    if not isinstance(entry["occurrences"], list):
+        raise SchemaViolation("occurrences must be an array")
+    if idx < 1 or idx > n_eq:
+        raise IndexOutOfRange(f"equation index {idx} not in 1..{n_eq}")
+    if idx in seen_indices:
+        raise IndexOutOfRange(f"equation index {idx} listed twice")
+    raise AssertionError(f"equation entry {entry!r} passes every check")
+
+
+def _occurrence_error(occurrences: list, idx: int, n_var: int) -> NoReturn:
+    """Raise the error of the first check that an occurrence of equation idx
+    fails, in the order of the occurrences, a repeat included."""
+    seen = set()
+    for occ in occurrences:
+        if not isinstance(occ, dict):
+            raise SchemaViolation("each occurrence must be an object")
+        if occ.keys() != _OCC_KEYS:
+            raise SchemaViolation(
+                f"occurrence must have exactly fields var/shift/deriv, got {sorted(occ)}"
+            )
+        var = _require_int(occ["var"], "var")
+        shift = _require_int(occ["shift"], "shift")
+        deriv = _require_int(occ["deriv"], "deriv")
+        if var < 1 or var > n_var:
+            raise IndexOutOfRange(f"var {var} not in 1..{n_var} (equation {idx})")
+        if shift < -1:
+            raise SchemaViolation(f"shift must be >= -1, got {shift} (equation {idx})")
+        if deriv < 0:
+            raise SchemaViolation(f"deriv must be >= 0, got {deriv} (equation {idx})")
+        triple = (var, shift, deriv)
+        if triple in seen:
+            raise DuplicateOccurrence(
+                f"occurrence (var={var}, shift={shift}, deriv={deriv}) "
+                f"listed twice in equation {idx}"
+            )
+        seen.add(triple)
+    raise AssertionError(f"every occurrence of equation {idx} passes every check")
+
+
 def parse_ddae(document: str) -> DdaeStructure:
     """Parse and fully validate a DDAE interchange document.
 
@@ -114,50 +171,40 @@ def parse_ddae(document: str) -> DdaeStructure:
     equations = []
     seen_indices = set()
     for entry in raw["equations"]:
-        if not isinstance(entry, dict):
-            raise SchemaViolation("each equation must be an object")
-        unknown = set(entry) - _EQ_KEYS
-        if unknown:
-            raise SchemaViolation(f"unknown equation fields: {sorted(unknown)}")
-        if "index" not in entry or "occurrences" not in entry:
-            raise SchemaViolation("equation needs 'index' and 'occurrences'")
-        idx = _require_int(entry["index"], "equation index")
-        label = entry.get("label", f"F{idx}")
-        if not isinstance(label, str):
-            raise SchemaViolation(f"label must be a string, got {label!r}")
-        if not isinstance(entry["occurrences"], list):
-            raise SchemaViolation("occurrences must be an array")
-        if idx < 1 or idx > n_eq:
-            raise IndexOutOfRange(f"equation index {idx} not in 1..{n_eq}")
-        if idx in seen_indices:
-            raise IndexOutOfRange(f"equation index {idx} listed twice")
+        # each entry and each occurrence is tested whole; only when a test
+        # fails do the checks run one by one, to raise the error of the
+        # first one that fails
+        if type(entry) is not dict:
+            _equation_error(entry, n_eq, seen_indices)
+        idx = entry.get("index")
+        occurrences = entry.get("occurrences")
+        # beside index and occurrences, a third field can only be the label
+        label = entry.get("label") if len(entry) == 3 else f"F{idx}"
+        if not (
+            type(idx) is int and type(occurrences) is list and type(label) is str
+            and 1 < len(entry) < 4 and 0 < idx <= n_eq and idx not in seen_indices
+        ):
+            _equation_error(entry, n_eq, seen_indices)
         seen_indices.add(idx)
 
-        occs: set[VarOccurrence] = set()
-        for occ in entry["occurrences"]:
-            if not isinstance(occ, dict):
-                raise SchemaViolation("each occurrence must be an object")
-            if occ.keys() != _OCC_KEYS:
-                raise SchemaViolation(
-                    f"occurrence must have exactly fields var/shift/deriv, got {sorted(occ)}"
-                )
-            var = _require_int(occ["var"], "var")
-            shift = _require_int(occ["shift"], "shift")
-            deriv = _require_int(occ["deriv"], "deriv")
-            if var < 1 or var > n_var:
-                raise IndexOutOfRange(f"var {var} not in 1..{n_var} (equation {idx})")
-            if shift < -1:
-                raise SchemaViolation(f"shift must be >= -1, got {shift} (equation {idx})")
-            if deriv < 0:
-                raise SchemaViolation(f"deriv must be >= 0, got {deriv} (equation {idx})")
-            triple = VarOccurrence(var, shift, deriv)
-            if triple in occs:
-                raise DuplicateOccurrence(
-                    f"occurrence (var={var}, shift={shift}, deriv={deriv}) "
-                    f"listed twice in equation {idx}"
-                )
-            occs.add(triple)
-        equations.append(EquationStruct(idx, tuple(sorted(occs)), label))
+        occs = []
+        for occ in occurrences:
+            if type(occ) is not dict or len(occ) != 3:
+                _occurrence_error(occurrences, idx, n_var)
+            # a missing field reads as None and fails the type test
+            var = occ.get("var")
+            shift = occ.get("shift")
+            deriv = occ.get("deriv")
+            if (
+                type(var) is not int or type(shift) is not int or type(deriv) is not int
+                or not 0 < var <= n_var or shift < -1 or deriv < 0
+            ):
+                _occurrence_error(occurrences, idx, n_var)
+            occs.append((var, shift, deriv))
+        unique = set(occs)
+        if len(unique) != len(occs):
+            _occurrence_error(occurrences, idx, n_var)
+        equations.append(EquationStruct(idx, tuple(map(_new_occurrence, sorted(unique))), label))
 
     if seen_indices != set(range(1, n_eq + 1)):
         missing = sorted(set(range(1, n_eq + 1)) - seen_indices)

@@ -265,6 +265,10 @@ UNREADABLE = {
     "root-is-float": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": 1.0}',
     "arc-endpoint-is-true": b'{"nodes": [1, 2], "arcs": [[true, 2]], "root": 1}',
     "node-listed-as-true": b'{"nodes": [1, true, 2], "arcs": [[1, 2]], "root": 1}',
+    # Digraph holds at most one arc per ordered pair and would merge the two
+    "arc-listed-twice": b'{"nodes": [1, 2], "arcs": [[1, 2], [1, 2]], "root": 1}',
+    # a misspelt root would otherwise be ignored
+    "unknown-digraph-key": b'{"nodes": [1, 2], "arcs": [[1, 2]], "root": 1, "rooot": 1}',
 }
 
 

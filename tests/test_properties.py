@@ -1,4 +1,5 @@
-"""Property tests of the arborescence stream and the matching on generated graphs.
+"""Property tests of the arborescence stream, the matching and the front end
+(parse and graph builds) on generated inputs.
 
 The examples are derived from a fixed seed and no example database is
 kept, so every run checks the same graphs (conftest.py keeps the rest of
@@ -6,6 +7,8 @@ hypothesis's files out of the working directory).
 """
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,3 +110,93 @@ def test_matching_is_maximum(g):
     assert [r.exposed for r in reports] == exposed
     for j in exposed:
         assert not has_augmenting_path(g, m, j)
+
+
+# --- the front end: parse, graph builds ------------------------------------
+
+@st.composite
+def documents(draw, max_eqs: int = 6, max_vars: int = 4):
+    """A valid incidence document, equations and occurrences in any order,
+    with the equations' occurrence sets and labels it was drawn from."""
+    n_eq = draw(st.integers(1, max_eqs))
+    n_var = draw(st.integers(1, max_vars))
+    triple = st.tuples(st.integers(1, n_var), st.integers(-1, 3), st.integers(0, 3))
+    rows = {}
+    entries = []
+    for i in draw(st.permutations(range(1, n_eq + 1))):
+        occs = draw(st.lists(triple, max_size=5, unique=True))
+        entry = {"index": i, "occurrences": [
+            {"var": k, "shift": p, "deriv": q} for k, p, q in occs
+        ]}
+        label = draw(st.none() | st.text(max_size=4))
+        if label is not None:
+            entry["label"] = label
+        rows[i] = (set(occs), label or f"F{i}")
+        entries.append(entry)
+    text = json.dumps({"n_equations": n_eq, "n_variables": n_var, "equations": entries})
+    return text, rows
+
+
+@FIXED
+@given(documents())
+def test_document_round_trip(document):
+    text, rows = document
+    s = ds.parse_ddae(text)
+    assert [eq.eq_index for eq in s.equations] == sorted(rows)
+    for eq in s.equations:
+        assert set(eq.occurrences) == rows[eq.eq_index][0]
+        assert list(eq.occurrences) == sorted(eq.occurrences)
+        assert all(type(o) is ds.VarOccurrence for o in eq.occurrences)
+        assert eq.label == rows[eq.eq_index][1]
+    assert ds.validate(s) == []
+    assert ds.parse_ddae(ds.serialize_ddae(s)) == s
+
+
+@st.composite
+def structures(draw, max_eqs: int = 6, max_vars: int = 4):
+    """A structure whose equations come in any index order and whose
+    occurrence tuples come in any order, repeats included."""
+    n_eq = draw(st.integers(1, max_eqs))
+    n_var = draw(st.integers(1, max_vars))
+    occurrence = st.builds(
+        ds.VarOccurrence, st.integers(1, n_var), st.integers(-1, 2), st.integers(0, 2)
+    )
+    equations = tuple(
+        ds.EquationStruct(i, tuple(draw(st.lists(occurrence, max_size=5))))
+        for i in draw(st.permutations(range(1, n_eq + 1)))
+    )
+    return ds.DdaeStructure(n_eq, n_var, equations)
+
+
+@FIXED
+@given(structures())
+def test_shifting_graph_build_equals_edge_list_constructor(s):
+    edges = {
+        (eq.eq_index, ds.VariableGroup(k, p)) for eq in s.equations for k, p, _ in eq.occurrences
+    }
+    groups = {v for _, v in edges}
+    expected = ds.ShiftingGraph(range(1, s.n_equations + 1), groups, edges)
+    g = ds.build_shifting_graph(s)
+    assert g.eq_nodes == expected.eq_nodes
+    assert g.group_nodes == expected.group_nodes == groups
+    assert g.edges == expected.edges == edges
+    for i in g.eq_nodes:
+        assert g.groups_of(i) == expected.groups_of(i)
+    for v in groups:
+        assert g.eqs_of(v) == expected.eqs_of(v)
+    # one object per group, shared by the adjacency and the node set
+    nodes = {v: v for v in g.group_nodes}
+    assert all(v is nodes[v] for i in g.eq_nodes for v in g.groups_of(i))
+
+
+@FIXED
+@given(structures())
+def test_occurrence_graph_build_equals_edge_list_constructor(s):
+    edges = {(eq.eq_index, o) for eq in s.equations for o in eq.occurrences}
+    expected = ds.DdaeGraph(range(1, s.n_equations + 1), {o for _, o in edges}, edges)
+    gd = ds.build_ddae_graph(s)
+    assert gd.eq_nodes == expected.eq_nodes
+    for i in gd.eq_nodes:
+        assert gd.occurrences_of(i) == expected.occurrences_of(i)
+    assert gd.edges == expected.edges == edges
+    assert gd.var_nodes == expected.var_nodes
