@@ -56,25 +56,16 @@ class BenchRecord:
 def generate_scenario(kind: str, n: int) -> tuple[ShiftingGraph, Matching, int]:
     """Build the scenario shifting graph, its fixed matching and the exposed id."""
     sc = Scenario(kind, n)
-    groups = {j: VariableGroup(j, 0) for j in range(1, n)}
-    edges = set()
+    groups = tuple([VariableGroup(j, 0) for j in range(1, n)])  # v_j is groups[j - 1]
     if sc.kind == "banded":
-        for i in range(1, n):
-            for j in (i - 1, i, i + 1):
-                if 1 <= j <= n - 1:
-                    edges.add((i, groups[j]))
+        groups_of = {i: groups[max(i - 2, 0):i + 1] for i in range(1, n)}
     elif sc.kind == "triangular":
-        for i in range(1, n):
-            for j in range(i, n):
-                edges.add((i, groups[j]))
+        groups_of = {i: groups[i - 1:] for i in range(1, n)}
     else:  # complete
-        for i in range(1, n):
-            for j in range(1, n):
-                edges.add((i, groups[j]))
-    for j in range(1, n):
-        edges.add((n, groups[j]))
-    g = ShiftingGraph(range(1, n + 1), groups.values(), edges)
-    m = Matching({i: groups[i] for i in range(1, n)})
+        groups_of = dict.fromkeys(range(1, n), groups)
+    groups_of[n] = groups
+    g = ShiftingGraph(groups_of)
+    m = Matching({i: groups[i - 1] for i in range(1, n)})
     return g, m, n
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .arborescence import Digraph, GrowRun, count_arborescences
 from .bench import KINDS, run_bench, write_csv
 from .connections import EXPLICIT, IMPLICIT, ConnectionSearch
-from .errors import DdaeStructError, LimitExceeded, NotExposed, RootNotInGraph
+from .errors import DdaeStructError, LimitExceeded, RootNotInGraph
 from .graphs import build_ddae_graph, build_shifting_graph
 from .matching import compute_matching
 from .oracles import brute_force_arborescences
@@ -155,13 +155,8 @@ def _cmd_connections(args) -> int:
     s = parse_ddae(_read_text(args.input))
     g = build_shifting_graph(s)
     gd = build_ddae_graph(s) if args.classify else None
-    m, reports = compute_matching(g)
-    reach = next((r for r in reports if r.exposed == args.exposed), None)
-    if reach is None:
-        if args.exposed in g.eq_nodes:
-            raise NotExposed(f"equation {args.exposed} is matched, not exposed")
-        raise NotExposed(f"equation {args.exposed} is not in the document")
-    search = ConnectionSearch(g, m, args.exposed, gd, reach)
+    m, _ = compute_matching(g)
+    search = ConnectionSearch(g, m, args.exposed, gd)
     frags, opening, closing = _line_parts(search, args.format)
     frag = frags.__getitem__
     implicit = search.implicit or frozenset()

@@ -26,7 +26,7 @@ from typing import Callable
 from .arborescence import GrowRun
 from .connection_graph import build_connection_graph
 from .graphs import DdaeGraph, ShiftingGraph, VariableGroup
-from .matching import Matching, ReachReport, alternating_reach
+from .matching import Matching, alternating_reach
 
 EXPLICIT = "explicit"
 IMPLICIT = "implicit"
@@ -80,11 +80,8 @@ class ConnectionSearch:
         m: Matching,
         j: int,
         gd: DdaeGraph | None = None,
-        reach: ReachReport | None = None,
     ):
-        if reach is None:
-            reach = alternating_reach(g, m, j)
-        h = build_connection_graph(g, m, reach)
+        h = build_connection_graph(g, m, alternating_reach(g, m, j))
         self.run = GrowRun(h, j)
         self.triples: list[Triple] = [(i, h.weight((i, l)), l) for i, l in self.run.arcs]
         self.implicit: frozenset[int] | None = None

@@ -33,39 +33,17 @@ class VariableGroup(NamedTuple):
 class ShiftingGraph:
     """Bipartite graph between equation ids and variable groups.
 
-    The state is the adjacency, precomputed in ascending (var_index, shift)
-    order so that every traversal in the package is deterministic.  The
-    edge set is built from it on first read.
+    Built from `groups_of`, a dict from each equation, in node order, to
+    the tuple of its groups in ascending (var_index, shift) order without
+    repeats, so that every traversal in the package is deterministic.  An
+    equation may have no groups; a group exists only where it has an
+    edge.  The per-group equation tuples are derived from it at once, the
+    edge set on first read.
     """
 
-    def __init__(self, eq_nodes, group_nodes, edges):
-        eq_nodes = tuple(eq_nodes)
-        groups = frozenset(group_nodes)
-        edges = frozenset(edges)
-        by_eq: dict[int, list[VariableGroup]] = {i: [] for i in eq_nodes}
-        for i, v in edges:
-            vs = by_eq.get(i)
-            if vs is None or v not in groups:
-                raise ValueError(f"edge ({i}, {v}) has an endpoint outside the node sets")
-            vs.append(v)
-        self._adopt(eq_nodes, {i: tuple(sorted(vs)) for i, vs in by_eq.items()})
-        if len(self.group_nodes) != len(groups):
-            # isolated equation nodes are legitimate, isolated groups are not
-            untouched = groups.difference(self.group_nodes)
-            raise ValueError(f"group nodes without any edge: {sorted(untouched)}")
-        self.edges = edges
-
-    @classmethod
-    def _from_adjacency(cls, eq_nodes, groups_of) -> "ShiftingGraph":
-        g = cls.__new__(cls)
-        g._adopt(eq_nodes, groups_of)
-        return g
-
-    def _adopt(self, eq_nodes: tuple, groups_of: dict) -> None:
-        """Take per-equation group tuples, each sorted and free of repeats,
-        as the graph's state and derive the per-group equation tuples."""
-        self.eq_nodes: tuple[int, ...] = eq_nodes
-        self._groups_of: dict[int, tuple[VariableGroup, ...]] = groups_of
+    def __init__(self, groups_of: dict[int, tuple[VariableGroup, ...]]):
+        self.eq_nodes: tuple[int, ...] = tuple(groups_of)
+        self._groups_of = groups_of
         by_group: dict[VariableGroup, list[int]] = {}
         for i in sorted(groups_of):
             for v in groups_of[i]:
@@ -96,32 +74,14 @@ class ShiftingGraph:
 class DdaeGraph:
     """Bipartite graph between equation ids and concrete occurrences.
 
-    The state is the per-equation occurrences.  An equation's occurrence
-    set is made on the first read of it, and the edge and variable node
-    sets on theirs.
+    Built from `occs_of`, a dict from each equation, in node order, to the
+    tuple of its occurrences.  The edge and variable node sets are made on
+    their first read.
     """
 
-    def __init__(self, eq_nodes, var_nodes, edges):
-        eq_nodes = tuple(eq_nodes)
-        edges = frozenset(edges)
-        by_eq: dict[int, list[VarOccurrence]] = {i: [] for i in eq_nodes}
-        for i, o in edges:
-            by_eq[i].append(o)
-        self.eq_nodes: tuple[int, ...] = eq_nodes
-        self._occs_of: dict[int, frozenset[VarOccurrence]] = {
-            i: frozenset(occs) for i, occs in by_eq.items()
-        }
-        self.var_nodes = frozenset(var_nodes)
-        self.edges = edges
-
-    @classmethod
-    def _from_adjacency(cls, eq_nodes, occs_of: dict) -> "DdaeGraph":
-        """occs_of: equation -> a collection of its occurrences, replaced by
-        their frozenset on the first `occurrences_of` for the equation."""
-        g = cls.__new__(cls)
-        g.eq_nodes = eq_nodes
-        g._occs_of = occs_of
-        return g
+    def __init__(self, occs_of: dict[int, tuple[VarOccurrence, ...]]):
+        self.eq_nodes: tuple[int, ...] = tuple(occs_of)
+        self._occs_of = occs_of
 
     @cached_property
     def var_nodes(self) -> frozenset[VarOccurrence]:
@@ -131,11 +91,8 @@ class DdaeGraph:
     def edges(self) -> frozenset[tuple[int, VarOccurrence]]:
         return frozenset([(i, o) for i, occs in self._occs_of.items() for o in occs])
 
-    def occurrences_of(self, i: int) -> frozenset[VarOccurrence]:
-        occs = self._occs_of[i]
-        if type(occs) is not frozenset:
-            occs = self._occs_of[i] = frozenset(occs)
-        return occs
+    def occurrences_of(self, i: int) -> tuple[VarOccurrence, ...]:
+        return self._occs_of[i]
 
 
 _GROUP_KEY = itemgetter(0, 1)  # (k, p) of an occurrence, as a plain tuple
@@ -149,35 +106,37 @@ class _Groups(dict):
         return v
 
 
+def _not_an_equation(s: DdaeStructure, i: int) -> ValueError:
+    return ValueError(f"equation index {i} not in 1..{s.n_equations}")
+
+
 def build_shifting_graph(s: DdaeStructure) -> ShiftingGraph:
     """Collapse derivative orders: one group node per (k, p) that occurs."""
     group = _Groups().__getitem__
     groups_of = dict.fromkeys(range(1, s.n_equations + 1), ())
     for eq in s.equations:
-        if not eq.occurrences:
-            continue
         i = eq.eq_index
-        keys = set(map(_GROUP_KEY, eq.occurrences))
         known = groups_of.get(i)
         if known is None:
-            raise ValueError(
-                f"edge ({i}, {group(min(keys))}) has an endpoint outside the node sets"
-            )
-        if known:
-            keys.update(known)  # the equation is listed twice
-        groups_of[i] = tuple(map(group, sorted(keys)))
-    return ShiftingGraph._from_adjacency(tuple(range(1, s.n_equations + 1)), groups_of)
+            raise _not_an_equation(s, i)
+        if eq.occurrences:
+            keys = set(map(_GROUP_KEY, eq.occurrences))
+            if known:
+                keys.update(known)  # the equation is listed twice
+            groups_of[i] = tuple(map(group, sorted(keys)))
+    return ShiftingGraph(groups_of)
 
 
 def build_ddae_graph(s: DdaeStructure) -> DdaeGraph:
     """One variable node per distinct occurrence triple; edges mirror incidence."""
-    occs_of: dict[int, tuple[VarOccurrence, ...]] = dict.fromkeys(
-        range(1, s.n_equations + 1), ()
-    )
+    occs_of = dict.fromkeys(range(1, s.n_equations + 1), ())
     for eq in s.equations:
-        if eq.occurrences:
-            occs_of[eq.eq_index] += eq.occurrences  # () + t is t itself
-    return DdaeGraph._from_adjacency(tuple(range(1, s.n_equations + 1)), occs_of)
+        i = eq.eq_index
+        known = occs_of.get(i)
+        if known is None:
+            raise _not_an_equation(s, i)
+        occs_of[i] = known + eq.occurrences  # () + t is t itself
+    return DdaeGraph(occs_of)
 
 
 def highest_shift_groups(g: ShiftingGraph) -> frozenset[VariableGroup]:

@@ -141,7 +141,7 @@ def alternating_reach(g: ShiftingGraph, m: Matching, j: int) -> ReachReport:
     if not g.has_equation(j):
         raise NotExposed(f"equation {j} is not in the graph")
     if m.is_matched(j):
-        raise NotExposed(f"equation {j} is matched to {m.group_of(j)}")
+        raise NotExposed(f"equation {j} is matched, not exposed")
     group2eq = m.inverse
     reached_eqs: set[int] = set()
     reached_groups: set[VariableGroup] = set()

@@ -138,12 +138,8 @@ def shared_occurrences(
 ) -> tuple:
     """Concrete occurrences of the triple's group adjacent to both equations."""
     i, v, l = triple
-    common = [
-        o
-        for o in sorted(gd.occurrences_of(i) & gd.occurrences_of(l))
-        if o.var_index == v.var_index and o.shift == v.shift
-    ]
-    return tuple(common)
+    common = set(gd.occurrences_of(i)).intersection(gd.occurrences_of(l))
+    return tuple(sorted(o for o in common if o.var_index == v.var_index and o.shift == v.shift))
 
 
 def classify_connection(c: Connection, gd: DdaeGraph) -> str:

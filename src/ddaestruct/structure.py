@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import filterfalse, islice
 from typing import NamedTuple, NoReturn
 
 from .errors import (
@@ -50,10 +51,6 @@ class EquationStruct:
     def __post_init__(self):
         if not self.label:
             object.__setattr__(self, "label", f"F{self.eq_index}")
-
-    @property
-    def occurrence_set(self) -> frozenset[VarOccurrence]:
-        return frozenset(self.occurrences)
 
 
 @dataclass(frozen=True)
@@ -206,9 +203,14 @@ def parse_ddae(document: str) -> DdaeStructure:
             _occurrence_error(occurrences, idx, n_var)
         equations.append(EquationStruct(idx, tuple(map(_new_occurrence, sorted(unique))), label))
 
-    if seen_indices != set(range(1, n_eq + 1)):
-        missing = sorted(set(range(1, n_eq + 1)) - seen_indices)
-        raise IndexOutOfRange(f"equation indices missing: {missing}")
+    if len(seen_indices) != n_eq:
+        # every seen index is unique and in range, so the count decides; the
+        # first ten missing ones lie within the first len(seen_indices) + 10
+        missing = list(islice(filterfalse(seen_indices.__contains__, range(1, n_eq + 1)), 10))
+        more = n_eq - len(seen_indices) - len(missing)
+        raise IndexOutOfRange(
+            f"equation indices missing: {missing}" + (f" and {more} more" if more else "")
+        )
 
     equations.sort(key=lambda eq: eq.eq_index)
     return DdaeStructure(n_eq, n_var, tuple(equations))

@@ -71,7 +71,7 @@ class TestNaiveBaseline:
         assert len(ds.naive_all_connections(g, m, exposed)) == 21
 
     def test_degenerate_reach(self):
-        g = ds.ShiftingGraph([1, 2], {G(1, 0)}, {(1, G(1, 0))})
+        g = ds.ShiftingGraph({1: (G(1, 0),), 2: ()})
         m = ds.Matching({1: G(1, 0)})
         assert ds.naive_all_connections(g, m, 2) == {ds.Connection(frozenset())}
 

@@ -44,7 +44,7 @@ class TestWorkedExamples:
 
 class TestDegenerateAndErrors:
     def test_empty_reach_gives_single_node_graph(self):
-        g = ds.ShiftingGraph([1, 2], {G(1, 0)}, {(1, G(1, 0))})
+        g = ds.ShiftingGraph({1: (G(1, 0),), 2: ()})
         m = ds.Matching({1: G(1, 0)})
         report = ds.alternating_reach(g, m, 2)
         h = ds.build_connection_graph(g, m, report)

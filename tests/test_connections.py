@@ -36,7 +36,7 @@ class TestTreeToConnection:
         assert ds.tree_to_connection(t, h).triples == T3_C1
 
     def test_trivial_tree(self):
-        g = ds.ShiftingGraph([1, 2], {G(1, 0)}, {(1, G(1, 0))})
+        g = ds.ShiftingGraph({1: (G(1, 0),), 2: ()})
         m = ds.Matching({1: G(1, 0)})
         report = ds.alternating_reach(g, m, 2)
         h = ds.build_connection_graph(g, m, report)
@@ -78,7 +78,7 @@ class TestFindAllConnections:
             ds.find_all_connections(graph3, m, 1)
 
     def test_empty_reach_emits_one_empty_connection(self):
-        g = ds.ShiftingGraph([1, 2], {G(1, 0)}, {(1, G(1, 0))})
+        g = ds.ShiftingGraph({1: (G(1, 0),), 2: ()})
         m = ds.Matching({1: G(1, 0)})
         n, found = all_connections(g, m, 2)
         assert n == 1
@@ -157,8 +157,8 @@ class TestClassify:
         # same connection, occurrence graph with the shared derivative
         # removed from equation 2: the only witness of one triple disappears
         gd = ds.build_ddae_graph(sys3)
-        pruned_edges = set(gd.edges) - {(2, ds.VarOccurrence(1, 0, 1))}
-        gd2 = ds.DdaeGraph(gd.eq_nodes, gd.var_nodes, pruned_edges)
+        pruned = tuple(o for o in gd.occurrences_of(2) if o != ds.VarOccurrence(1, 0, 1))
+        gd2 = ds.DdaeGraph({i: pruned if i == 2 else gd.occurrences_of(i) for i in gd.eq_nodes})
         c = ds.Connection(T3_C1)
         assert ds.classify_connection(c, gd) == ds.EXPLICIT
         assert ds.classify_connection(c, gd2) == ds.IMPLICIT

@@ -48,18 +48,6 @@ class TestShiftingGraph:
         for i in graph4.eq_nodes:
             assert list(graph4.groups_of(i)) == sorted(graph4.groups_of(i))
 
-    def test_isolated_group_node_rejected(self):
-        with pytest.raises(ValueError):
-            ds.ShiftingGraph([1], {G(1, 0)}, ())
-
-    def test_edge_from_unknown_equation_rejected(self):
-        with pytest.raises(ValueError, match="outside the node sets"):
-            ds.ShiftingGraph([1], {G(1, 0)}, {(1, G(1, 0)), (2, G(1, 0))})
-
-    def test_edge_to_unknown_group_rejected(self):
-        with pytest.raises(ValueError, match="outside the node sets"):
-            ds.ShiftingGraph([1], {G(1, 0)}, {(1, G(1, 0)), (1, G(2, 0))})
-
 
 class TestVariableGroup:
     def test_repr_and_fields(self):
@@ -119,7 +107,7 @@ class TestHighestShiftGroups:
         assert ds.highest_shift_groups(graph4) == {G(1, 0), G(2, 0), G(3, 0)}
 
     def test_higher_shift_dominates(self):
-        g = ds.ShiftingGraph([1], {G(1, 0), G(1, 1)}, {(1, G(1, 0)), (1, G(1, 1))})
+        g = ds.ShiftingGraph({1: (G(1, 0), G(1, 1))})
         assert ds.highest_shift_groups(g) == {G(1, 1)}
 
     def test_never_negative_never_two_per_variable(self):
@@ -168,3 +156,10 @@ class TestCrossGraphCorrespondence:
                     o.var_index == v.var_index and o.shift == v.shift
                     for o in gd.occurrences_of(i)
                 )
+
+
+@pytest.mark.parametrize("build", [ds.build_shifting_graph, ds.build_ddae_graph])
+def test_equation_index_outside_the_declared_range_rejected(build):
+    s = ds.DdaeStructure(1, 1, (ds.EquationStruct(1, ()), ds.EquationStruct(2, (occ(1, 0, 0),))))
+    with pytest.raises(ValueError, match=r"^equation index 2 not in 1\.\.1$"):
+        build(s)

@@ -41,7 +41,7 @@ class TestAugmentPath:
         assert pairs == {1: G(1, 0)}
 
     def test_isolated_node(self):
-        g = ds.ShiftingGraph([1], (), ())
+        g = ds.ShiftingGraph({1: ()})
         ok, _, reached = try_augment(g, ds.Matching(), 1, frozenset())
         assert not ok
         assert reached == frozenset()
@@ -53,11 +53,7 @@ class TestAugmentPath:
     def test_rerouting_through_matched_group(self):
         # two equations share the only free path; the second must displace
         # the first onto its alternative group
-        g = ds.ShiftingGraph(
-            [1, 2],
-            {G(1, 0), G(2, 0)},
-            {(1, G(1, 0)), (1, G(2, 0)), (2, G(1, 0))},
-        )
+        g = ds.ShiftingGraph({1: (G(1, 0), G(2, 0)), 2: (G(1, 0),)})
         matchable = ds.highest_shift_groups(g)
         m = ds.Matching({1: G(1, 0)})
         ok, pairs, _ = try_augment(g, m, 2, matchable)
@@ -80,7 +76,7 @@ class TestComputeMatching:
         assert reports[0].reached_eqs == {1, 2, 3}
 
     def test_perfect_matching_has_no_reports(self):
-        g = ds.ShiftingGraph([1], {G(1, 0)}, {(1, G(1, 0))})
+        g = ds.ShiftingGraph({1: (G(1, 0),)})
         m, reports = ds.compute_matching(g)
         assert m.pairs == {1: G(1, 0)}
         assert reports == []
@@ -150,7 +146,7 @@ class TestAlternatingReach:
             ds.alternating_reach(graph3, m, 9)
 
     def test_no_incident_edges(self):
-        g = ds.ShiftingGraph([1, 2], {G(1, 0)}, {(1, G(1, 0))})
+        g = ds.ShiftingGraph({1: (G(1, 0),), 2: ()})
         m = ds.Matching({1: G(1, 0)})
         report = ds.alternating_reach(g, m, 2)
         assert report.reached_eqs == frozenset()
@@ -189,10 +185,11 @@ class TestAlternatingReach:
             ]
             if not candidates:
                 continue
-            extra = rng.choice(candidates)
-            g2 = ds.ShiftingGraph(
-                g.eq_nodes, g.group_nodes, set(g.edges) | {extra}
-            )
+            e, extra = rng.choice(candidates)
+            g2 = ds.ShiftingGraph({
+                i: tuple(sorted(g.groups_of(i) + ((extra,) if i == e else ())))
+                for i in g.eq_nodes
+            })
             r2 = ds.alternating_reach(g2, m, r.exposed)
             assert r2.reached_eqs >= r.reached_eqs
             trials += 1

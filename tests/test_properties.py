@@ -112,6 +112,40 @@ def test_matching_is_maximum(g):
         assert not has_augmenting_path(g, m, j)
 
 
+@st.composite
+def crowded_graphs(draw, max_eqs: int = 6):
+    """One equation more than groups, all groups at shift 0 and so matchable:
+    some equation is always exposed, and its reach is often most of the graph."""
+    n_eq = draw(st.integers(2, max_eqs))
+    groups = [ds.VariableGroup(k, 0) for k in range(1, n_eq)]
+    return ds.ShiftingGraph({
+        i: tuple(sorted(draw(st.sets(st.sampled_from(groups), max_size=n_eq - 1))))
+        for i in range(1, n_eq + 1)
+    })
+
+
+def assert_stream_equals_naive_baseline(g):
+    m, reports = ds.compute_matching(g)
+    for r in reports:
+        found = []
+        n = ds.find_all_connections(g, m, r.exposed, visitor=found.append)
+        streamed = {c.triples for c in found}
+        assert n == len(found) == len(streamed)
+        assert streamed == {c.triples for c in ds.naive_all_connections(g, m, r.exposed)}
+
+
+@FIXED
+@given(shifting_graphs())
+def test_stream_equals_naive_baseline_for_every_exposed_equation(g):
+    assert_stream_equals_naive_baseline(g)
+
+
+@FIXED
+@given(crowded_graphs())
+def test_stream_equals_naive_baseline_on_crowded_graphs(g):
+    assert_stream_equals_naive_baseline(g)
+
+
 # --- the front end: parse, graph builds ------------------------------------
 
 @st.composite
@@ -175,15 +209,16 @@ def test_shifting_graph_build_equals_edge_list_constructor(s):
         (eq.eq_index, ds.VariableGroup(k, p)) for eq in s.equations for k, p, _ in eq.occurrences
     }
     groups = {v for _, v in edges}
-    expected = ds.ShiftingGraph(range(1, s.n_equations + 1), groups, edges)
+    eq_nodes = tuple(range(1, s.n_equations + 1))
+    expected = ds.ShiftingGraph({i: tuple(sorted(v for e, v in edges if e == i)) for i in eq_nodes})
     g = ds.build_shifting_graph(s)
-    assert g.eq_nodes == expected.eq_nodes
+    assert g.eq_nodes == expected.eq_nodes == eq_nodes
     assert g.group_nodes == expected.group_nodes == groups
     assert g.edges == expected.edges == edges
     for i in g.eq_nodes:
         assert g.groups_of(i) == expected.groups_of(i)
     for v in groups:
-        assert g.eqs_of(v) == expected.eqs_of(v)
+        assert g.eqs_of(v) == expected.eqs_of(v) == tuple(sorted(i for i, w in edges if w == v))
     # one object per group, shared by the adjacency and the node set
     nodes = {v: v for v in g.group_nodes}
     assert all(v is nodes[v] for i in g.eq_nodes for v in g.groups_of(i))
@@ -193,10 +228,11 @@ def test_shifting_graph_build_equals_edge_list_constructor(s):
 @given(structures())
 def test_occurrence_graph_build_equals_edge_list_constructor(s):
     edges = {(eq.eq_index, o) for eq in s.equations for o in eq.occurrences}
-    expected = ds.DdaeGraph(range(1, s.n_equations + 1), {o for _, o in edges}, edges)
+    eq_nodes = tuple(range(1, s.n_equations + 1))
+    expected = ds.DdaeGraph({i: tuple(o for e, o in edges if e == i) for i in eq_nodes})
     gd = ds.build_ddae_graph(s)
-    assert gd.eq_nodes == expected.eq_nodes
+    assert gd.eq_nodes == expected.eq_nodes == eq_nodes
     for i in gd.eq_nodes:
-        assert gd.occurrences_of(i) == expected.occurrences_of(i)
+        assert set(gd.occurrences_of(i)) == set(expected.occurrences_of(i))
     assert gd.edges == expected.edges == edges
-    assert gd.var_nodes == expected.var_nodes
+    assert gd.var_nodes == expected.var_nodes == {o for _, o in edges}

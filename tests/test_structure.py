@@ -19,9 +19,9 @@ class TestParse:
         s = ds.parse_ddae(doc3)
         assert s.n_equations == 3
         assert s.n_variables == 3
-        assert s.equations[0].occurrence_set == {occ(1, 0, 1)}
-        assert s.equations[1].occurrence_set == {occ(1, 0, 1), occ(2, 0, 0)}
-        assert s.equations[2].occurrence_set == {
+        assert set(s.equations[0].occurrences) == {occ(1, 0, 1)}
+        assert set(s.equations[1].occurrences) == {occ(1, 0, 1), occ(2, 0, 0)}
+        assert set(s.equations[2].occurrences) == {
             occ(1, 0, 0), occ(2, 0, 0), occ(3, -1, 0)
         }
         assert s.equations[2].label == "F3"
@@ -32,7 +32,7 @@ class TestParse:
             '[{"index": 1, "occurrences": [{"var": 1, "shift": 0, "deriv": 0}]}]}'
         )
         assert s.n_equations == 1
-        assert s.equations[0].occurrence_set == {occ(1, 0, 0)}
+        assert set(s.equations[0].occurrences) == {occ(1, 0, 0)}
         assert s.equations[0].label == "F1"  # defaulted
 
     def test_var_index_beyond_declared_count(self):
@@ -312,6 +312,11 @@ PARSE_ERRORS = [
      "occurrence (var=2, shift=-1, deriv=1) listed twice in equation 1"),
     ("equation-missing", _doc([_eq(_occ(), index=2)], n_equations=3), ds.IndexOutOfRange,
      "equation indices missing: [1, 3]"),
+    ("equations-missing-ten", _doc([], n_equations=10), ds.IndexOutOfRange,
+     "equation indices missing: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    ("equations-missing-beyond-ten",
+     _doc([_eq(_occ(), index=2), _eq(_occ(), index=5)], n_equations=25), ds.IndexOutOfRange,
+     "equation indices missing: [1, 3, 4, 6, 7, 8, 9, 10, 11, 12] and 13 more"),
     # the order of the checks decides
     ("unknown-before-missing", _doc(None, delay=1), ds.SchemaViolation,
      "unknown top-level fields: ['delay']"),
