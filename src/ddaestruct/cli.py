@@ -18,7 +18,7 @@ from .bench import KINDS, run_bench, write_csv
 from .connections import EXPLICIT, IMPLICIT, ConnectionSearch
 from .errors import DdaeStructError, LimitExceeded, RootNotInGraph
 from .graphs import build_ddae_graph, build_shifting_graph
-from .matching import compute_matching
+from .matching import compute_matching, match_equations
 from .oracles import brute_force_arborescences
 from .structure import parse_ddae
 
@@ -155,8 +155,7 @@ def _cmd_connections(args) -> int:
     s = parse_ddae(_read_text(args.input))
     g = build_shifting_graph(s)
     gd = build_ddae_graph(s) if args.classify else None
-    m, _ = compute_matching(g)
-    search = ConnectionSearch(g, m, args.exposed, gd)
+    search = ConnectionSearch(g, match_equations(g), args.exposed, gd)
     frags, opening, closing = _line_parts(search, args.format)
     frag = frags.__getitem__
     implicit = search.implicit or frozenset()

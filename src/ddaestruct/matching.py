@@ -105,16 +105,22 @@ def _try_augment(
 
 
 def compute_matching(g: ShiftingGraph) -> tuple[Matching, list[ReachReport]]:
+    """The matching of `match_equations`, with the reach of every exposed
+    equation computed against it, one report per exposed node in
+    ascending order."""
+    m = match_equations(g)
+    return m, [alternating_reach(g, m, j) for j in g.eq_nodes if j not in m.pairs]
+
+
+def match_equations(g: ShiftingGraph) -> Matching:
     """Match equations to highest-shift groups, in ascending equation order.
 
-    Failure to augment is permanent, so each equation is tried once.  The
-    reports for the exposed equations are computed against the final
-    matching, one per exposed node in ascending order.
+    Failure to augment is permanent, so each equation is tried once; the
+    ones left unmatched are the exposed equations.
     """
     matchable = highest_shift_groups(g)
     eq2group: dict[int, VariableGroup] = {}
     group2eq: dict[VariableGroup, int] = {}
-    exposed: list[int] = []
     for i in g.eq_nodes:
         # a free admissible group is taken at once, as the augmenting
         # search's first pass would take it
@@ -124,11 +130,8 @@ def compute_matching(g: ShiftingGraph) -> tuple[Matching, list[ReachReport]]:
                 group2eq[v] = i
                 break
         else:
-            if not _try_augment(g, eq2group, group2eq, i, matchable, set(), set()):
-                exposed.append(i)
-    m = Matching(eq2group)
-    reports = [alternating_reach(g, m, j) for j in exposed]
-    return m, reports
+            _try_augment(g, eq2group, group2eq, i, matchable, set(), set())
+    return Matching(eq2group)
 
 
 def alternating_reach(g: ShiftingGraph, m: Matching, j: int) -> ReachReport:

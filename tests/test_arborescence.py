@@ -86,6 +86,19 @@ class TestDeterminantOracle:
     def test_single_node(self):
         assert ds.count_arborescences(ds.Digraph([1], []), 1) == 1
 
+    def test_forced_arcs_are_contracted(self):
+        # a path with back arcs has one tree; contracting its in-degree-1
+        # end node by node leaves nothing to eliminate
+        n = 1500
+        arcs = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+        t0 = time.perf_counter()
+        assert ds.count_arborescences(ds.Digraph(range(n), arcs), 0) == 1
+        assert time.perf_counter() - t0 < 1.0
+        # contraction makes parallel arcs: 1 -> 2 twice once 3 is merged
+        # into 1, so 2 can be entered from 1 in two ways, or from 0
+        g = ds.Digraph(range(4), [(0, 1), (1, 2), (1, 3), (3, 2), (0, 2), (2, 1)])
+        assert ds.count_arborescences(g, 0) == len(ds.brute_force_arborescences(g, 0)) == 4
+
     def test_unrooted_graph_counts_zero(self):
         g = ds.Digraph([1, 2, 3], [(1, 2)])
         assert ds.count_arborescences(g, 1) == 0
@@ -190,14 +203,19 @@ class TestLimitsAndRestoration:
             assert run.working_arcs() == d.arcs
 
     def test_every_limit_stops_on_a_prefix_of_the_stream(self):
-        # the level that adds the last node emits one tree per frontier
-        # arc; a stop at any of them must cut the stream exactly there.
-        # With one or two nodes the root level is itself that level.
+        # the level that leaves two nodes outside emits its trees in closed
+        # form, several per arc it adds; a stop at any of them must cut the
+        # stream exactly there.  With three nodes the root level is itself
+        # that level; one or two nodes are settled before any level runs.
         rng = random.Random(602)
         graphs = [
             (ds.Digraph([1], []), 1),
             (ds.Digraph([1, 2], [(1, 2), (2, 1)]), 1),
             (ds.Digraph([1, 2], [(1, 2)]), 2),
+            (ds.Digraph([1, 2, 3], [(1, 2), (1, 3), (2, 3), (3, 2), (2, 1), (3, 1)]), 1),
+            (ds.Digraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)]), 1),
+            (ds.Digraph([1, 2, 3], [(1, 2), (2, 3), (3, 2)]), 1),
+            (ds.Digraph([1, 2, 3], [(3, 1), (3, 2), (2, 1), (1, 2)]), 3),
         ]
         graphs += [random_digraph(rng, max_nodes=7, max_arcs=20) for _ in range(80)]
         for g, root in graphs:
@@ -239,6 +257,31 @@ class TestLimitsAndRestoration:
             run = ds.GrowRun(g, root)
             run.execute()
             assert run.working_arcs() == g.arcs
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        n = 100_000
+        g = ds.Digraph(range(n), [(i, i + 1) for i in range(n - 1)])
+        run = ds.GrowRun(g, 0)
+        trees = []
+        assert run.execute(visitor=lambda p: trees.append(run.arborescence(p))) == 1
+        assert run.stopped is None
+        assert trees[0].arcs == g.arcs
+        assert run.working_arcs() == g.arcs
+
+    def test_large_sparse_digraph_stops_and_restores(self):
+        # a random spanning tree plus random arcs, three arcs per node
+        rng = random.Random(603)
+        n = 10_000
+        arcs = {(rng.randrange(i), i) for i in range(1, n)}
+        while len(arcs) < 3 * n:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                arcs.add((u, v))
+        g = ds.Digraph(range(n), arcs)
+        run = ds.GrowRun(g, 0)
+        assert run.execute(limit=2000) == 2000
+        assert run.stopped == "limit"
+        assert run.working_arcs() == g.arcs
 
     def test_restoration_after_aborted_runs(self):
         rng = random.Random(601)

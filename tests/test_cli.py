@@ -128,6 +128,54 @@ class TestConnections:
         assert out == ""
         assert err.splitlines() == ["error: equation 9 is not in the graph"]
 
+    def test_reach_computed_for_the_asked_equation_only(self, capsys, tmp_path, monkeypatch):
+        # equations 2 and 4 are exposed, each reaching one other equation
+        path = tmp_path / "two-exposed.json"
+        path.write_text(json.dumps({"n_equations": 4, "n_variables": 2, "equations": [
+            {"index": i, "occurrences": [{"var": k, "shift": 0, "deriv": 0}]}
+            for i, k in ((1, 1), (2, 1), (3, 2), (4, 2))
+        ]}))
+        calls = []
+        reach = ds.matching.alternating_reach
+
+        def counted(*args):
+            calls.append(args[2])
+            return reach(*args)
+
+        monkeypatch.setattr(ds.matching, "alternating_reach", counted)
+        monkeypatch.setattr(ds.connections, "alternating_reach", counted)
+        code, out, _ = run(capsys, "connections", "--input", str(path), "--exposed", "4")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert calls == [4]
+
+    def test_chain_deeper_than_the_recursion_limit(self, tmp_path):
+        # equation 1 holds x1, equation i holds x(i-1)' and x(i), equation
+        # 1501 holds x1500: the exposed equation's connection graph is a
+        # path through all 1,501 equations.  Run as a process, so that an
+        # escaping exception shows as a traceback.
+        n = 1500
+
+        def occ(k, q=0):
+            return {"var": k, "shift": 0, "deriv": q}
+
+        equations = [{"index": 1, "occurrences": [occ(1)]}]
+        equations += [{"index": i, "occurrences": [occ(i - 1, 1), occ(i)]} for i in range(2, n + 1)]
+        equations.append({"index": n + 1, "occurrences": [occ(n)]})
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"n_equations": n + 1, "n_variables": n, "equations": equations}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddaestruct", "connections", "--input", str(path),
+             "--exposed", str(n + 1), "--classify"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        line = json.loads(lines[0])
+        assert len(line["triples"]) == n
+        assert line["class"] == ds.IMPLICIT
+
 
 def scenario_document(kind: str, n: int, rng: random.Random) -> str:
     """A scenario family as a document: each edge (i, (k, 0)) becomes one or

@@ -9,6 +9,7 @@ hypothesis's files out of the working directory).
 from __future__ import annotations
 
 import json
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,41 @@ def test_working_graph_restored_under_any_limit(graph, limit):
     assert run.execute(limit=limit) == min(limit, total)
     assert (run.stopped == "limit") == (limit < total)
     assert run.working_arcs() == g.arcs
+
+
+@FIXED
+@given(rooted_digraphs(), st.floats(-1e-4, 1e-3))
+def test_working_graph_restored_under_any_deadline(graph, offset):
+    g, root = graph
+    stream = []
+    total = ds.GrowRun(g, root).execute(visitor=lambda p: stream.append(tuple(p)))
+    seen = []
+    run = ds.GrowRun(g, root)
+    n = run.execute(visitor=lambda p: seen.append(tuple(p)),
+                    deadline=time.monotonic() + offset)
+    assert n == len(seen) and seen == stream[:n]
+    assert (run.stopped == "deadline") == (n < total)
+    assert run.stopped in (None, "deadline")
+    assert run.working_arcs() == g.arcs
+
+
+@st.composite
+def forced_digraphs(draw, max_nodes: int = 7):
+    """A random out-tree from node 0 plus a few random arcs: many nodes keep
+    a single in-neighbour, some only after others are contracted."""
+    n = draw(st.integers(1, max_nodes))
+    arcs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if pairs:
+        arcs |= draw(st.sets(st.sampled_from(pairs), max_size=n))
+    return ds.Digraph(range(n), arcs), draw(st.integers(0, n - 1))
+
+
+@FIXED
+@given(forced_digraphs())
+def test_contracted_count_equals_the_brute_force_count(graph):
+    g, root = graph
+    assert ds.count_arborescences(g, root) == len(ds.brute_force_arborescences(g, root))
 
 
 @st.composite
@@ -236,3 +272,23 @@ def test_occurrence_graph_build_equals_edge_list_constructor(s):
         assert set(gd.occurrences_of(i)) == set(expected.occurrences_of(i))
     assert gd.edges == expected.edges == edges
     assert gd.var_nodes == expected.var_nodes == {o for _, o in edges}
+
+
+@FIXED
+@given(documents())
+def test_class_tallies_equal_the_determinant_split(document):
+    # a connection is explicit iff all its arcs are witnessed, so the
+    # explicit ones are the spanning trees of the witnessed-arc subgraph
+    text, _ = document
+    s = ds.parse_ddae(text)
+    g = ds.build_shifting_graph(s)
+    gd = ds.build_ddae_graph(s)
+    m, reports = ds.compute_matching(g)
+    for r in reports:
+        h = ds.build_connection_graph(g, m, r)
+        witnessed = {a for a in h.arcs if ds.shared_occurrences((a[0], h.weight(a), a[1]), gd)}
+        total = ds.count_arborescences(ds.Digraph(h.nodes, h.arcs), r.exposed)
+        explicit = ds.count_arborescences(ds.Digraph(h.nodes, witnessed), r.exposed)
+        report = ds.collect_connections(g, m, r.exposed, gd)
+        assert report.classes.count(ds.EXPLICIT) == explicit
+        assert report.classes.count(ds.IMPLICIT) == total - explicit
