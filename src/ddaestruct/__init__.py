@@ -16,7 +16,6 @@ from .arborescence import (
 )
 from .bench import (
     BenchRecord,
-    Scenario,
     generate_scenario,
     naive_all_connections,
     run_bench,
@@ -106,7 +105,6 @@ __all__ = [
     "NotExposed",
     "ReachReport",
     "RootNotInGraph",
-    "Scenario",
     "SchemaViolation",
     "ShiftingGraph",
     "VarOccurrence",

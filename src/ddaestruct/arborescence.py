@@ -109,9 +109,9 @@ class Arborescence:
 class GrowRun:
     """One enumeration run over a digraph, with inspectable working state.
 
-    Splitting construction from execution lets callers (and tests) look at
-    the working graph after a run: `working_arcs()` must equal the input
-    arc set once `execute` returns, whatever the stop reason.
+    Splitting construction from execution lets callers look at the working
+    graph after a run: `working_arcs()` must equal the input arc set once
+    `execute` returns, whatever the stop reason.
 
     Nodes are indexed by their position in `node_ids` (sorted ids) and arcs
     by their position in `arcs` (sorted pairs); callers key per-arc tables
@@ -135,7 +135,6 @@ class GrowRun:
             self._out[self._idx[u]].append(a)
             self._in[self._idx[v]].append(a)
         self._alive = [True] * len(arc_list)
-        self.count = 0
         self.stopped: str | None = None
 
     def working_arcs(self) -> frozenset[tuple]:
@@ -157,7 +156,6 @@ class GrowRun:
         visitor: Callable[[list[int]], None] | None = None,
         limit: int | None = None,
         deadline: float | None = None,
-        bridge_hook: Callable | None = None,
     ) -> int:
         """Enumerate; returns the number of trees emitted.
 
@@ -170,9 +168,7 @@ class GrowRun:
         time.monotonic() point) stops it when the clock passes; either way
         the working graph is fully restored.  `stopped` then names the
         reason, or stays None when the stop came at the last tree and
-        nothing was cut off.  bridge_hook, for white-box testing, is called
-        as hook(arc, tree_arcs, remaining_arcs) whenever a level that ran
-        to its end finds its bridge.
+        nothing was cut off.
         """
         n = self._n
         r = self._idx[self.root]
@@ -181,7 +177,6 @@ class GrowRun:
         out_arcs = self._out
         in_arcs = self._in
         alive = self._alive
-        self.count = 0
         self.stopped = None
         if limit is not None and limit <= 0:
             self.stopped = "limit"
@@ -209,18 +204,13 @@ class GrowRun:
         # tree
         parent = [-1] * n
         if n <= 2:
-            # the root alone, or the root and its one arc a to the other
-            # node: one tree, and no level runs.  a is the root level's
-            # bridge, reported unless the run stopped at its one tree
+            # the root alone, or the root and its one arc to the other
+            # node: one tree, and no level runs
             if n == 2:
                 a = out_arcs[r][0]
                 parent[head[a]] = a
             if visitor is not None:
                 visitor(parent)
-            self.count = 1
-            if (n == 2 and bridge_hook is not None and limit != 1
-                    and (deadline is None or time.monotonic() < deadline)):
-                self._report_bridge(bridge_hook, a, in_tree, parent, r, (a,))
             return 1
 
         ox = r  # the xor of the nodes outside the subtree
@@ -368,21 +358,10 @@ class GrowRun:
                         F.append(e)
                         F_head.append(v)
                         break
-                    if bridge_hook is not None:
-                        # the bottom arc into w is the bridge of the level
-                        # that adds w, found with all its arcs deleted
-                        level = [F[j] for j in range(fbase, len(F)) if F_head[j] == w]
-                        if vw >= 0:
-                            level.append(vw)
-                        in_tree[v] = True
-                        self._report_bridge(bridge_hook, level[0], in_tree, parent, r, level)
-                        in_tree[v] = False
                     alive[e] = False
                     dead.append(e)
                     nd += 1
                     if bridge:
-                        if bridge_hook is not None:
-                            self._report_bridge(bridge_hook, e, in_tree, parent, r)
                         break
                 D[d] = nd
 
@@ -445,46 +424,13 @@ class GrowRun:
                         D[d] += 1
                         if not bridge:
                             break  # level d goes on with its next arc
-                        if bridge_hook is not None:
-                            self._report_bridge(bridge_hook, e, in_tree, parent, r)
         finally:
             # a visitor that raises leaves the levels without their undo;
             # the journal still names every arc they deleted
             while dead[-1] >= 0:
                 alive[dead.pop()] = True
-        self.count = hi * 256 + lo
         self.stopped = stop if cut else None
-        return self.count
-
-    def _report_bridge(
-        self,
-        hook: Callable,
-        a: int,
-        in_tree: list[bool],
-        parent: list[int],
-        r: int,
-        deleted: list[int] | tuple[int, ...] = (),
-    ) -> None:
-        """Call hook(arc a, current tree arcs, working arcs), the `deleted` arcs out."""
-        alive = self._alive
-        for b in deleted:
-            alive[b] = False
-        try:
-            hook(self.arcs[a], self._current_tree_arcs(in_tree, parent, r), self.working_arcs())
-        finally:
-            for b in deleted:
-                alive[b] = True
-
-    def _current_tree_arcs(
-        self, in_tree: list[bool], parent: list[int], r: int
-    ) -> frozenset[tuple]:
-        ids = self.node_ids
-        tail = self._tail
-        return frozenset(
-            (ids[tail[parent[x]]], ids[x])
-            for x in range(self._n)
-            if x != r and in_tree[x]
-        )
+        return hi * 256 + lo
 
 
 def _padded_stack(capacity: int) -> list[int]:
@@ -521,15 +467,19 @@ def count_arborescences(g: Digraph, root) -> int:
     """
     if root not in g.nodes:
         raise RootNotInGraph(f"root {root!r} not in graph")
-    # preds[x][u] and succs[u][x]: the number of arcs u -> x, for x != root
+    # preds[x][u] and succs[u][x]: the number of arcs u -> x, for x != root;
+    # succs is read only by the contractions
     preds: dict = {x: {} for x in g.nodes if x != root}
-    succs: dict = {x: {} for x in g.nodes}
     for u, v in g.arcs:
         if v != root:
             preds[v][u] = 1
-            succs[u][v] = 1
     factor = 1
     todo = [x for x, ins in preds.items() if len(ins) <= 1]
+    if todo:
+        succs: dict = {x: {} for x in g.nodes}
+        for x, ins in preds.items():
+            for u in ins:
+                succs[u][x] = 1
     while todo:
         x = todo.pop()
         ins = preds.get(x)

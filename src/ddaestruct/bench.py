@@ -32,18 +32,6 @@ METHODS = ("grow", "naive")
 
 
 @dataclass(frozen=True)
-class Scenario:
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.n < 2:
-            raise BadSize(f"scenario needs n >= 2, got {self.n}")
-
-
-@dataclass(frozen=True)
 class BenchRecord:
     kind: str
     n: int
@@ -55,11 +43,14 @@ class BenchRecord:
 
 def generate_scenario(kind: str, n: int) -> tuple[ShiftingGraph, Matching, int]:
     """Build the scenario shifting graph, its fixed matching and the exposed id."""
-    sc = Scenario(kind, n)
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if n < 2:
+        raise BadSize(f"scenario needs n >= 2, got {n}")
     groups = tuple([VariableGroup(j, 0) for j in range(1, n)])  # v_j is groups[j - 1]
-    if sc.kind == "banded":
+    if kind == "banded":
         groups_of = {i: groups[max(i - 2, 0):i + 1] for i in range(1, n)}
-    elif sc.kind == "triangular":
+    elif kind == "triangular":
         groups_of = {i: groups[i - 1:] for i in range(1, n)}
     else:  # complete
         groups_of = dict.fromkeys(range(1, n), groups)

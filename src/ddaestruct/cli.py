@@ -82,6 +82,14 @@ def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
     return g, root
 
 
+def _run_limited(run: GrowRun, visitor, limit: int | None) -> int:
+    """Run the enumeration under --limit; exit 3 if the limit cut it short."""
+    if limit is not None and limit < 0:
+        raise DdaeStructError(f"--limit must be >= 0, got {limit}")
+    run.execute(visitor=visitor, limit=limit)
+    return EXIT_LIMIT if run.stopped == "limit" else EXIT_OK
+
+
 def _group_json(v) -> list[int]:
     return [v.var_index, v.shift]
 
@@ -165,8 +173,7 @@ def _cmd_connections(args) -> int:
         explicit = implicit.isdisjoint(parent)
         write(opening[explicit] + "".join(map(frag, parent)) + closing[explicit])
 
-    search.run.execute(visitor=on_tree, limit=args.limit)
-    return EXIT_LIMIT if search.run.stopped == "limit" else EXIT_OK
+    return _run_limited(search.run, on_tree, args.limit)
 
 
 def _cmd_arborescences(args) -> int:
@@ -177,8 +184,7 @@ def _cmd_arborescences(args) -> int:
         t = run.arborescence(parent)
         print(json.dumps({"root": t.root, "arcs": [list(a) for a in t.sorted_arcs()]}))
 
-    run.execute(visitor=on_tree, limit=args.limit)
-    return EXIT_LIMIT if run.stopped == "limit" else EXIT_OK
+    return _run_limited(run, on_tree, args.limit)
 
 
 def _cmd_count(args) -> int:

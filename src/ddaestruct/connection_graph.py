@@ -36,16 +36,13 @@ class ConnectionGraph(Digraph):
     def weight(self, arc: tuple[int, int]) -> VariableGroup:
         return self._matched[arc[1]]
 
-    def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
-
     def to_json(self) -> str:
         """Dump as the digraph interchange format (consumable by the CLI)."""
         return json.dumps(
             {
                 "nodes": sorted(self.nodes),
                 "root": self.root,
-                "arcs": [list(a) for a in self.sorted_arcs()],
+                "arcs": [list(a) for a in sorted(self.arcs)],
             }
         )
 

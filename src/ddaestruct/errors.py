@@ -42,7 +42,7 @@ class ArcNotInGraph(DdaeStructError):
 
 
 class BadSize(DdaeStructError):
-    """Scenario size parameter out of range."""
+    """A scenario size parameter out of range."""
 
 
 class LimitExceeded(DdaeStructError):

@@ -292,30 +292,6 @@ class TestLimitsAndRestoration:
             assert run.working_arcs() == g.arcs
 
 
-class TestBridgeTest:
-    def test_bridges_hold_for_all_completions(self):
-        # white box: whenever the run declares a bridge, every spanning tree
-        # of the working graph plus the arc that extends the current subtree
-        # must contain that arc
-        rng = random.Random(777)
-        checked = 0
-        for _ in range(40):
-            g, root = random_digraph(rng, max_nodes=5, max_arcs=10)
-            events = []
-
-            def hook(arc, tree_arcs, remaining):
-                events.append((arc, tree_arcs, remaining))
-
-            ds.GrowRun(g, root).execute(bridge_hook=hook)
-            for arc, tree_arcs, remaining in events:
-                host = ds.Digraph(g.nodes, remaining | {arc})
-                for t in ds.brute_force_arborescences(host, root):
-                    if tree_arcs <= t.arcs:
-                        assert arc in t.arcs
-                        checked += 1
-        assert checked > 0
-
-
 class TestAgainstOracles:
     def test_random_digraphs_match_both_oracles(self):
         rng = random.Random(987654)

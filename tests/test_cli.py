@@ -116,6 +116,14 @@ class TestConnections:
         assert code == 3
         assert len(out.strip().splitlines()) == 3
 
+    def test_negative_limit_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "connections", "--input", DOC4, "--exposed", "4", "--limit", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --limit must be >= 0, got -1"]
+
     def test_matched_equation_is_an_input_error(self, capsys):
         code, out, err = run(capsys, "connections", "--input", DOC3, "--exposed", "1")
         assert code == 2
@@ -299,6 +307,16 @@ class TestArborescences:
         )
         assert code == 3
         assert len(out.strip().splitlines()) == 1
+
+    def test_negative_limit_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "one_tree.json"
+        path.write_text(json.dumps({"nodes": [1, 2], "arcs": [[1, 2]], "root": 1}))
+        code, out, err = run(
+            capsys, "arborescences", "--graph", str(path), "--limit", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --limit must be >= 0, got -3"]
 
     def test_self_loop_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "loop.json"
