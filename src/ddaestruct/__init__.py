@@ -37,7 +37,6 @@ from .errors import (
     CapExceeded,
     DdaeStructError,
     DuplicateOccurrence,
-    InconsistentReport,
     IndexOutOfRange,
     LimitExceeded,
     MalformedDocument,
@@ -97,7 +96,6 @@ __all__ = [
     "EquationStruct",
     "GrowRun",
     "IMPLICIT",
-    "InconsistentReport",
     "IndexOutOfRange",
     "LimitExceeded",
     "MalformedDocument",

@@ -145,6 +145,8 @@ def run_bench(
     """
     if n_from > n_to:
         raise BadSize(f"empty size range {n_from}..{n_to}")
+    if time_limit is not None and not time_limit > 0:
+        raise BadSize(f"time limit must be > 0, got {time_limit}")
     for meth in methods:
         if meth not in METHODS:
             raise ValueError(f"unknown method {meth!r}")

@@ -2,8 +2,9 @@
 
 Subcommands: analyze, connections, arborescences, count, oracle, bench.
 Exit codes: 0 on success, 2 on input errors, 3 when output was cut off by
-a limit (--limit, naive search cap, or bench time limit does not count —
-bench reports limits in its records instead).
+--limit or the naive search cap.  bench exits 2 on a bad size or a time
+limit that is not positive; a run its time limit cuts off still exits 0,
+with completed=false in its record.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ the matching and the second edge inside it is condensed to a directed arc
 i -> l between equation nodes.  The group is not stored per arc: it is the
 head's matched group, so an arc's weight is read from the matching.  The
 node set is the exposed equation plus its alternating-path reach, nothing
-more, and the graph is the `Digraph` the enumerator runs on.
+more, and the arcs are the steps of that reach's walk (`ReachReport.arcs`);
+the graph is the `Digraph` the enumerator runs on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 from typing import Mapping
 
 from .arborescence import Digraph
-from .errors import InconsistentReport
 from .graphs import ShiftingGraph, VariableGroup
 from .matching import Matching, ReachReport
 
@@ -50,31 +50,12 @@ class ConnectionGraph(Digraph):
 def build_connection_graph(
     g: ShiftingGraph, m: Matching, report: ReachReport
 ) -> ConnectionGraph:
-    """Condense alternating-path triples into weighted arcs.
+    """The connection graph of a reach: its walk's steps, weighted by `m`.
 
-    An arc (i, l) exists iff l is in the reach, i is any node of the graph
-    other than l, and equation i touches l's matched group through a
-    non-matching edge.  The exposed node always has in-degree 0.
+    An arc (i, l) exists iff i is a node of the graph, l != i is in the
+    reach, and equation i touches l's matched group.  The exposed node
+    always has in-degree 0.  `g` is not read: the report already holds the
+    arcs.
     """
     j = report.exposed
-    if not g.has_equation(j):
-        raise InconsistentReport(f"exposed equation {j} not in graph")
-    if m.is_matched(j):
-        raise InconsistentReport(f"exposed equation {j} is matched")
-    bad = {l for l in report.reached_eqs if not g.has_equation(l)}
-    if bad:
-        raise InconsistentReport(f"reached equations {sorted(bad)} not in graph")
-    unmatched = {l for l in report.reached_eqs if not m.is_matched(l)}
-    if unmatched:
-        raise InconsistentReport(
-            f"reached equations {sorted(unmatched)} are unmatched"
-        )
-
-    nodes = set(report.reached_eqs) | {j}
-    arcs = set()
-    for l in report.reached_eqs:
-        for i in g.eqs_of(m.group_of(l)):
-            if i == l or i not in nodes:
-                continue
-            arcs.add((i, l))
-    return ConnectionGraph(nodes, j, arcs, m.pairs)
+    return ConnectionGraph(report.reached_eqs | {j}, j, report.arcs, m.pairs)

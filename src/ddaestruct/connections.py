@@ -83,7 +83,7 @@ class ConnectionSearch:
     ):
         h = build_connection_graph(g, m, alternating_reach(g, m, j))
         self.run = GrowRun(h, j)
-        self.triples: list[Triple] = [(i, h.weight((i, l)), l) for i, l in self.run.arcs]
+        self.triples: list[Triple] = [(i, m.pairs[l], l) for i, l in self.run.arcs]
         self.implicit: frozenset[int] | None = None
         if gd is not None:
             self.implicit = _implicit_arcs(self.triples, h.nodes, gd)

@@ -25,10 +25,6 @@ class NotExposed(DdaeStructError):
     """The queried equation is matched, so no connection query applies."""
 
 
-class InconsistentReport(DdaeStructError):
-    """A reachability report does not fit the graph/matching it came with."""
-
-
 class RootNotInGraph(DdaeStructError):
     """The requested root is not a node of the digraph."""
 

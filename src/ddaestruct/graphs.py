@@ -9,6 +9,9 @@ Two views of the same incidence data:
 
 An implicit link between equations is precisely one that exists in the
 first view but not in the second; both are therefore needed downstream.
+The shifting graph keeps only each equation's groups: the links between
+equations are found by the alternating-path walk in `matching`, which
+yields the connection graph's arcs.
 """
 
 from __future__ import annotations
@@ -37,25 +40,13 @@ class ShiftingGraph:
     the tuple of its groups in ascending (var_index, shift) order without
     repeats, so that every traversal in the package is deterministic.  An
     equation may have no groups; a group exists only where it has an
-    edge.  The per-group equation tuples are derived from it at once, the
-    edge set on first read.
+    edge.  The group set is made at once, the edge set on first read.
     """
 
     def __init__(self, groups_of: dict[int, tuple[VariableGroup, ...]]):
         self.eq_nodes: tuple[int, ...] = tuple(groups_of)
         self._groups_of = groups_of
-        by_group: dict[VariableGroup, list[int]] = {}
-        for i in sorted(groups_of):
-            for v in groups_of[i]:
-                eqs = by_group.get(v)
-                if eqs is None:
-                    by_group[v] = [i]
-                else:
-                    eqs.append(i)
-        self._eqs_of: dict[VariableGroup, tuple[int, ...]] = {
-            v: tuple(eqs) for v, eqs in by_group.items()
-        }
-        self.group_nodes: frozenset[VariableGroup] = frozenset(by_group)
+        self.group_nodes: frozenset[VariableGroup] = frozenset().union(*groups_of.values())
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, VariableGroup]]:
@@ -66,9 +57,6 @@ class ShiftingGraph:
 
     def groups_of(self, i: int) -> tuple[VariableGroup, ...]:
         return self._groups_of[i]
-
-    def eqs_of(self, v: VariableGroup) -> tuple[int, ...]:
-        return self._eqs_of[v]
 
 
 class DdaeGraph:

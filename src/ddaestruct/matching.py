@@ -6,7 +6,9 @@ structural-analysis fashion: first look for a free admissible group, then
 try to re-route an already matched neighbour.  Equations for which no
 augmenting path exists are *exposed*; the set of equations an exposed node
 can reach by alternating paths (non-matching edge first, then a matching
-edge, and so on) is what every downstream step operates on.
+edge, and so on) is what every downstream step operates on.  The steps of
+that walk, from equation i over one of its groups to the group's matched
+equation, are the arcs of the connection graph, so the walk reports them.
 """
 
 from __future__ import annotations
@@ -43,11 +45,15 @@ class Matching:
 
 @dataclass(frozen=True)
 class ReachReport:
-    """Alternating-path reachability from one exposed equation."""
+    """Alternating-path reachability from one exposed equation.
+
+    `arcs` holds every step (i, l) of the walk: i is the exposed equation
+    or a reached one, and l != i is matched to one of i's groups.
+    """
 
     exposed: int
     reached_eqs: frozenset[int]
-    reached_groups: frozenset[VariableGroup]
+    arcs: frozenset[tuple[int, int]]
 
 
 def _try_augment(
@@ -135,32 +141,31 @@ def match_equations(g: ShiftingGraph) -> Matching:
 
 
 def alternating_reach(g: ShiftingGraph, m: Matching, j: int) -> ReachReport:
-    """All equations reachable from the unmatched equation j by alternating paths.
+    """The alternating-path reach of the unmatched equation j, and its steps.
 
     Each path leaves an equation through a non-matching edge and continues
     through the matching edge of the group it lands on; unmatched groups are
-    dead ends and are not reported.
+    dead ends and are not reported.  Every group of every reached equation
+    is stepped over, so an equation reached from two others gets an arc
+    from each.
     """
     if not g.has_equation(j):
         raise NotExposed(f"equation {j} is not in the graph")
     if m.is_matched(j):
         raise NotExposed(f"equation {j} is matched, not exposed")
     group2eq = m.inverse
-    reached_eqs: set[int] = set()
-    reached_groups: set[VariableGroup] = set()
+    arcs: list[tuple[int, int]] = []
     stack = [j]
     seen_eqs = {j}
     while stack:
         i = stack.pop()
         for v in g.groups_of(i):
-            if v in reached_groups:
-                continue
             k = group2eq.get(v)
-            if k is None:
+            if k is None or k == i:
                 continue
-            reached_groups.add(v)
+            arcs.append((i, k))
             if k not in seen_eqs:
                 seen_eqs.add(k)
-                reached_eqs.add(k)
                 stack.append(k)
-    return ReachReport(j, frozenset(reached_eqs), frozenset(reached_groups))
+    seen_eqs.remove(j)
+    return ReachReport(j, frozenset(seen_eqs), frozenset(arcs))

@@ -121,6 +121,11 @@ class TestRunBench:
         with pytest.raises(ds.BadSize):
             ds.run_bench("banded", 6, 5)
 
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, float("nan")])
+    def test_time_limit_not_positive_rejected(self, limit):
+        with pytest.raises(ds.BadSize):
+            ds.run_bench("banded", 3, 4, time_limit=limit)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             ds.run_bench("banded", 5, 5, methods=("magic",))

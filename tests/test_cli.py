@@ -411,3 +411,13 @@ class TestBench:
         assert counts[("5", "grow")] == counts[("5", "naive")] == 21
         assert counts[("6", "grow")] == counts[("6", "naive")] == 55
         assert csv_path.read_text().startswith("kind,n,method")
+
+    @pytest.mark.parametrize("limit", ["-1", "0", "nan"])
+    def test_time_limit_not_positive_is_an_input_error(self, capsys, limit):
+        code, out, err = run(
+            capsys, "bench", "--scenario", "banded", "--from", "3", "--to", "4",
+            "--time-limit", limit,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: time limit must be > 0, got {float(limit)}"]

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 import ddaestruct as ds
 from conftest import G, random_structure
 
@@ -51,24 +49,6 @@ class TestDegenerateAndErrors:
         assert h.nodes == {2}
         assert h.root == 2
         assert not h.arcs
-
-    def test_unknown_equation_in_reach(self, graph3, matched3):
-        m, _ = matched3
-        bad = ds.ReachReport(3, frozenset({1, 9}), frozenset())
-        with pytest.raises(ds.InconsistentReport):
-            ds.build_connection_graph(graph3, m, bad)
-
-    def test_unmatched_equation_in_reach(self, graph3):
-        m = ds.Matching({1: G(1, 0)})
-        bad = ds.ReachReport(3, frozenset({1, 2}), frozenset())
-        with pytest.raises(ds.InconsistentReport):
-            ds.build_connection_graph(graph3, m, bad)
-
-    def test_matched_exposed_rejected(self, graph3, matched3):
-        m, _ = matched3
-        bad = ds.ReachReport(1, frozenset(), frozenset())
-        with pytest.raises(ds.InconsistentReport):
-            ds.build_connection_graph(graph3, m, bad)
 
 
 class TestProperties:

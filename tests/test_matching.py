@@ -128,7 +128,7 @@ class TestAlternatingReach:
         m, _ = matched3
         report = ds.alternating_reach(graph3, m, 3)
         assert report.reached_eqs == {1, 2}
-        assert report.reached_groups == {G(1, 0), G(2, 0)}
+        assert report.arcs == {(3, 1), (3, 2), (2, 1)}
 
     def test_four_equation_example(self, graph4, matched4):
         m, _ = matched4
@@ -150,21 +150,25 @@ class TestAlternatingReach:
         m = ds.Matching({1: G(1, 0)})
         report = ds.alternating_reach(g, m, 2)
         assert report.reached_eqs == frozenset()
-        assert report.reached_groups == frozenset()
+        assert report.arcs == frozenset()
 
-    def test_reached_groups_matched_into_reached_eqs(self):
+    def test_arcs_are_the_definitional_steps(self):
         rng = random.Random(102)
         for _ in range(100):
             g = ds.build_shifting_graph(random_structure(rng))
             m, reports = ds.compute_matching(g)
             for r in reports:
                 assert r.exposed not in r.reached_eqs
-                for v in r.reached_groups:
-                    k = m.inverse.get(v)
-                    assert k is not None
-                    assert k in r.reached_eqs or k == r.exposed
                 for k in r.reached_eqs:
                     assert m.is_matched(k)
+                tails = r.reached_eqs | {r.exposed}
+                steps = {
+                    (i, m.inverse[v])
+                    for i, v in g.edges
+                    if i in tails and v in m.inverse and m.inverse[v] != i
+                }
+                assert r.arcs == steps
+                assert {l for _, l in r.arcs} == r.reached_eqs
 
     def test_adding_an_edge_never_shrinks_the_reach(self):
         rng = random.Random(103)

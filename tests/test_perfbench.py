@@ -37,14 +37,27 @@ def test_tracer_installs_and_uninstalls():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_runs_without_failures(workload):
+def _run(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0.2", "--trace", "0"],
+         "--seed", "1", "--seconds", "0.2", "--trace", str(trace)],
         capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_without_failures(workload):
+    _run(workload, trace=0)
+
+
+def test_traced_doc_batch_reports_the_reach_and_graph_layers():
+    metrics = _run("doc-batch", trace=1)["metrics"]
+    for name in ("connection_graph.build_connection_graph.calls",
+                 "matching.alternating_reach.calls",
+                 "matching.reach_eqs", "connection_graph.nodes", "connection_graph.arcs"):
+        assert metrics[name]["value"] > 0, name
