@@ -2,16 +2,22 @@
 
 Subcommands: analyze, connections, arborescences, count, oracle, bench.
 Exit codes: 0 on success, 2 on input errors, 3 when output was cut off by
---limit or the naive search cap.  bench exits 2 on a bad size or a time
-limit that is not positive; a run its time limit cuts off still exits 0,
-with completed=false in its record.
+--limit or the naive search cap, 141 (128 + SIGPIPE) when the reader of
+stdout closed it early, as `| head` does, with nothing on stderr.  bench
+exits 2 on a bad size or a time limit that is not positive; a run its time
+limit cuts off still exits 0, with completed=false in its record.
+
+connections writes its first line at once and the rest in blocks of lines,
+each gathered from a table of text pieces by index (see _line_parts).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .arborescence import Digraph, GrowRun, count_arborescences
@@ -26,8 +32,11 @@ from .structure import parse_ddae
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer a closed pipe killed
 
 _DIGRAPH_KEYS = {"nodes", "arcs", "root"}
+# table indices that connections gathers into one text and one write
+_BLOCK = 4096
 
 
 def _read_text(path: str) -> str:
@@ -59,6 +68,12 @@ def _load_digraph(path: str, root_arg) -> tuple[Digraph, object]:
         raise DdaeStructError(f"{path}: bad digraph: {exc}") from exc
     if len(g.nodes) != len(nodes):
         raise DdaeStructError(f"{path}: 'nodes' lists an id twice")
+    try:
+        sorted(g.nodes)  # the enumerator orders nodes by id
+    except TypeError:
+        raise DdaeStructError(
+            f"{path}: node ids must be all numbers or all strings"
+        ) from None
     # JSON true and 1.0 hash and compare equal to the node 1, so an id is
     # looked up together with its type
     ids = {(type(x), x) for x in nodes}
@@ -124,40 +139,43 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _line_parts(search: ConnectionSearch, fmt: str):
-    """Per-arc fragments and per-class line ends of the connection lines.
+def _line_parts(search: ConnectionSearch, fmt: str) -> tuple[list[str], tuple, tuple]:
+    """The table that connection lines are gathered from, by index.
 
-    A line is opening[explicit] + the fragments of the tree's arcs in
-    ascending order of the node they enter + closing[explicit], where
-    explicit is the tree's class as a bool.  The arcs entering the first
-    covered equation carry no separator, and a trailing "" stands for the
-    root's -1 in the parent array.
+    The table holds each arc's fragment at the arc's index in the run, then
+    the two openings and the two closings of a line, and "" last, which the
+    root's -1 in a parent array indexes.  opening[explicit] and
+    closing[explicit] are the indices of a line's ends for a tree of that
+    class (the same piece twice without an occurrence graph).  A line is
+    the pieces at opening[explicit], at each entry of the parent array (the
+    tree's arcs in ascending order of the node they enter) and at
+    closing[explicit].  The arcs entering the first covered equation carry
+    no separator.
     """
     run = search.run
     first = min((x for x in run.node_ids if x != run.root), default=None)
-    frags = []
+    table = []
     for i, v, l in search.triples:
         if fmt == "json":
             sep, text = ", ", json.dumps([i, _group_json(v), l])
         else:
             sep, text = "; ", f"F{i} -({v.var_index},{v.shift})-> F{l}"
-        frags.append(text if l == first else sep + text)
-    frags.append("")
+        table.append(text if l == first else sep + text)
 
     classes = (IMPLICIT, EXPLICIT) if search.implicit is not None else (None, None)
     if fmt == "json":
         close = "]" if first is not None else '], "degenerate": true'
-        opening = ('{"triples": [',) * 2
-        closing = tuple(
+        table += ['{"triples": ['] * 2
+        table += [
             close + ("" if cls is None else ', "class": ' + json.dumps(cls)) + "}\n"
             for cls in classes
-        )
+        ]
     else:
-        opening = tuple(
-            "connection" + ("" if cls is None else f" [{cls}]") + ": " for cls in classes
-        )
-        closing = ("\n" if first is not None else "(empty: nothing to reach)\n",) * 2
-    return frags, opening, closing
+        table += ["connection" + ("" if cls is None else f" [{cls}]") + ": " for cls in classes]
+        table += ["\n" if first is not None else "(empty: nothing to reach)\n"] * 2
+    n = len(search.triples)
+    table.append("")
+    return table, (n, n + 1), (n + 2, n + 3)
 
 
 def _cmd_connections(args) -> int:
@@ -165,16 +183,32 @@ def _cmd_connections(args) -> int:
     g = build_shifting_graph(s)
     gd = build_ddae_graph(s) if args.classify else None
     search = ConnectionSearch(g, match_equations(g), args.exposed, gd)
-    frags, opening, closing = _line_parts(search, args.format)
-    frag = frags.__getitem__
+    table, opening, closing = _line_parts(search, args.format)
     implicit = search.implicit or frozenset()
     write = sys.stdout.write
+    # a tree is three or more table indices, so itemgetter gives a tuple
+    block: list[int] = []
+    put, extend = block.append, block.extend
+    bound = 0  # the first line goes out on its own
+
+    def write_block() -> None:
+        write("".join(itemgetter(*block)(table)))
+        block.clear()
 
     def on_tree(parent: list[int]) -> None:
+        nonlocal bound
         explicit = implicit.isdisjoint(parent)
-        write(opening[explicit] + "".join(map(frag, parent)) + closing[explicit])
+        put(opening[explicit])
+        extend(parent)
+        put(closing[explicit])
+        if len(block) >= bound:
+            write_block()
+            bound = _BLOCK
 
-    return _run_limited(search.run, on_tree, args.limit)
+    code = _run_limited(search.run, on_tree, args.limit)
+    if block:
+        write_block()
+    return code
 
 
 def _cmd_arborescences(args) -> int:
@@ -269,7 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started with it closed
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

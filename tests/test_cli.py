@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -245,11 +246,26 @@ def per_tree_stream(text: str, exposed: int, classify: bool, fmt: str, limit):
     return "".join(lines), ds.count_arborescences(h, exposed)
 
 
+class Writes:
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 class TestConnectionStreamParity:
     def documents(self):
         rng = random.Random(41)
         docs = [(Path(DOC3).read_text(), 3), (Path(DOC4).read_text(), 4), (DEGENERATE, 2)]
-        for kind, n in (("complete", 5), ("triangular", 6), ("banded", 7)):
+        # triangular n=8: 5,040 lines, written in many blocks
+        for kind, n in (("complete", 5), ("triangular", 6), ("banded", 7), ("triangular", 8)):
             docs.append((scenario_document(kind, n, rng), n))
         return docs
 
@@ -281,6 +297,62 @@ class TestConnectionStreamParity:
                            "--classify")
         assert code == 0
         assert json.loads(out) == {"triples": [], "degenerate": True, "class": "explicit"}
+
+    # connections writes its first line alone and the rest a block of lines
+    # at a time
+    @pytest.fixture(scope="class")
+    def document(self, tmp_path_factory):
+        # 7! = 5,040 connections
+        text = scenario_document("triangular", 8, random.Random(43))
+        path = tmp_path_factory.mktemp("blocks") / "triangular-8.json"
+        path.write_text(text)
+        return text, str(path)
+
+    def writes(self, path: str, *flags: str) -> tuple[int, list[str]]:
+        sink = Writes()
+        with redirect_stdout(sink):
+            code = main(["connections", "--input", path, "--exposed", "8", *flags])
+        return code, sink.writes
+
+    def test_first_line_alone_and_more_than_one_block(self, document):
+        _, path = document
+        code, writes = self.writes(path, "--classify")
+        assert code == 0
+        assert sum(w.count("\n") for w in writes) == 5040
+        assert writes[0].count("\n") == 1
+        # not held until the end, and not written line by line either
+        assert 2 < len(writes) < 5040
+        assert all(w.endswith("\n") for w in writes)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_limit_around_a_block_boundary(self, capsys, document, fmt, shift):
+        text, path = document
+        _, writes = self.writes(path, "--classify", "--format", fmt)
+        # the line count at the end of the second write ends a block
+        limit = writes[0].count("\n") + writes[1].count("\n") + shift
+        code, out, _ = run(capsys, "connections", "--input", path, "--exposed", "8",
+                           "--classify", "--format", fmt, "--limit", str(limit))
+        assert code == 3
+        assert len(out.splitlines()) == limit
+        assert out == per_tree_stream(text, 8, True, fmt, limit)[0]
+
+    def test_closed_pipe_exits_quietly(self, document):
+        # the stream is far longer than a pipe holds, so the writer is still
+        # writing when the reader goes
+        _, path = document
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ddaestruct", "connections", "--input", path,
+             "--exposed", "8", "--classify"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+        )
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert json.loads(line)["class"] in ("explicit", "implicit")
+        assert err == b""  # no traceback
 
 
 class TestArborescences:
@@ -374,6 +446,22 @@ class TestUnreadableInput:
         assert "Traceback" not in proc.stderr
 
 
+class TestMixedNodeIds:
+    """Node ids that cannot be ordered together are an input error."""
+
+    @pytest.mark.parametrize("command", ["arborescences", "count", "oracle"])
+    @pytest.mark.parametrize("nodes", [["a", 1], [None, 1], [2.5, "b"]])
+    def test_input_error(self, capsys, tmp_path, command, nodes):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(
+            {"nodes": nodes, "arcs": [[nodes[0], nodes[1]]], "root": nodes[0]}
+        ))
+        code, out, err = run(capsys, command, "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: node ids must be all numbers or all strings"]
+
+
 class TestCountAndOracle:
     def test_count(self, capsys, digraph_file):
         code, out, _ = run(capsys, "count", "--graph", digraph_file)
@@ -384,6 +472,16 @@ class TestCountAndOracle:
         code, out, _ = run(capsys, "oracle", "--graph", digraph_file)
         assert code == 0
         assert out.strip() == "2"
+
+    def test_count_with_stdout_closed(self, digraph_file):
+        # the process starts with no stdout at all, so sys.stdout is None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ddaestruct",
+             "count", "--graph", digraph_file],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_oracle_cap(self, capsys, tmp_path):
         path = tmp_path / "big.json"
